@@ -208,6 +208,26 @@ def _unstack_coefficients(s: np.ndarray, scenario: BellScenario) -> BellInequali
     return BellInequality(joint, marg_a, marg_b, scenario)
 
 
+def _assignments(m: int, d: int) -> np.ndarray:
+    """One-hot table of every map x -> a(x), shape (d^m, m, d), in np.ndindex order."""
+    digits = np.indices((d,) * m).reshape(m, -1).T
+    return np.eye(d)[digits]
+
+
+def _features(table: np.ndarray) -> np.ndarray:
+    """Coefficient-space image [p, p_A, p_B] of [..., x, y, a, b] tables.
+
+    Marginals are averaged over the other party's settings, so the value
+    of an inequality with stacked coefficients s is s . _features(p).
+    """
+    lead = table.shape[:-4]
+    return np.concatenate([
+        table.reshape(*lead, -1),
+        table.sum(axis=-1).mean(axis=-2).reshape(*lead, -1),
+        table.sum(axis=-2).mean(axis=-3).reshape(*lead, -1),
+    ], axis=-1)
+
+
 def lhv_bound(ineq: BellInequality) -> float:
     """Exact maximum of the functional over local deterministic strategies.
 
@@ -218,38 +238,11 @@ def lhv_bound(ineq: BellInequality) -> float:
     m, d = sc.settings, sc.outcomes
     if sc.strategy_count > ENUMERATION_GUARD:
         raise TooLargeScenario(f"{sc.strategy_count} deterministic strategies exceed guard")
-    best = -math.inf
-    for a_assign in np.ndindex(*(d,) * m):
-        # contribution of p(ab|xy) terms once Alice answers a(x): shape (m, d) over (y, b)
-        nb = ineq.joint[np.arange(m), :, a_assign, :].sum(axis=0) + ineq.marg_b
-        value = float(ineq.marg_a[np.arange(m), a_assign].sum() + nb.max(axis=1).sum())
-        if value > best:
-            best = value
-    return best
-
-
-def _lhv_value_and_strategy(svec: np.ndarray, scenario: BellScenario) -> tuple[float, np.ndarray]:
-    """Max over deterministic strategies and the feature vector of an argmax."""
-    ineq = _unstack_coefficients(svec, scenario)
-    m, d = scenario.settings, scenario.outcomes
-    best, best_pair = -math.inf, None
-    for a_assign in np.ndindex(*(d,) * m):
-        nb = ineq.joint[np.arange(m), :, a_assign, :].sum(axis=0) + ineq.marg_b
-        b_assign = nb.argmax(axis=1)
-        value = float(ineq.marg_a[np.arange(m), a_assign].sum() + nb[np.arange(m), b_assign].sum())
-        if value > best:
-            best, best_pair = value, (np.asarray(a_assign), b_assign)
-    a_assign, b_assign = best_pair
-    joint = np.zeros((m, m, d, d))
-    ma = np.zeros((m, d))
-    mb = np.zeros((m, d))
-    for x in range(m):
-        ma[x, a_assign[x]] = 1.0
-        mb[x, b_assign[x]] = 1.0
-        for y in range(m):
-            joint[x, y, a_assign[x], b_assign[y]] = 1.0
-    feat = np.concatenate([joint.ravel(), ma.ravel(), mb.ravel()])
-    return best, feat
+    alice = _assignments(m, d).reshape(d**m, m * d)
+    # Bob's coefficients once Alice answers a(x): shape (d^m, m, d) over (y, b)
+    bob = alice @ ineq.joint.transpose(0, 2, 1, 3).reshape(m * d, m * d)
+    bob = bob.reshape(-1, m, d) + ineq.marg_b
+    return float(np.max(alice @ ineq.marg_a.ravel() + bob.max(axis=2).sum(axis=1)))
 
 
 def _cell_weights(ineq: BellInequality) -> np.ndarray:
@@ -325,33 +318,17 @@ class GapResult(NamedTuple):
 
 def _gap_pieces(counts: CountsTable):
     """Precompute the linear/quadratic data behind Q(s), dQ(s) on fixed counts."""
-    sc = counts.scenario
-    m, d = sc.settings, sc.outcomes
     c = counts.counts
     totals = c.sum(axis=(2, 3), keepdims=True)
     p = c / totals
-    nj, nm = m * m * d * d, m * d
-
     # Q(s) = q_vec . s
-    q_vec = np.concatenate([
-        p.ravel(),
-        (p.sum(axis=3).mean(axis=1)).ravel(),  # averaged Alice marginals
-        (p.sum(axis=2).mean(axis=0)).ravel(),
-    ])
-
+    q_vec = _features(p)
     # dQ(s) = |G s|; one row per coincidence cell, scaled by sqrt(count)
-    n = nj + 2 * nm
-    cell_jac = np.zeros((m, m, d, d, n))
-    for x, y, a, b in np.ndindex(m, m, d, d):
-        row = np.zeros(n)
-        row[np.ravel_multi_index((x, y, a, b), (m, m, d, d))] = 1.0
-        row[nj + x * d + a] = 1.0 / m
-        row[nj + nm + y * d + b] = 1.0 / m
-        cell_jac[x, y, a, b] = row
+    cell_jac = _features(np.eye(c.size).reshape(c.shape * 2))
     setting_mean = (cell_jac * p[..., None]).sum(axis=(2, 3), keepdims=True)
     g = (cell_jac - setting_mean) / totals[..., None]
     g = g * np.sqrt(c)[..., None]
-    return q_vec, g.reshape(-1, n)
+    return q_vec, g.reshape(-1, q_vec.size)
 
 
 def _strategy_matrix(scenario: BellScenario) -> np.ndarray:
@@ -361,19 +338,9 @@ def _strategy_matrix(scenario: BellScenario) -> np.ndarray:
         raise TooLargeScenario(
             f"{scenario.strategy_count} strategies exceed the optimizer guard"
         )
-    rows = []
-    for a_assign in np.ndindex(*(d,) * m):
-        for b_assign in np.ndindex(*(d,) * m):
-            joint = np.zeros((m, m, d, d))
-            ma = np.zeros((m, d))
-            mb = np.zeros((m, d))
-            for x in range(m):
-                ma[x, a_assign[x]] = 1.0
-                mb[x, b_assign[x]] = 1.0
-                for y in range(m):
-                    joint[x, y, a_assign[x], b_assign[y]] = 1.0
-            rows.append(np.concatenate([joint.ravel(), ma.ravel(), mb.ravel()]))
-    return np.asarray(rows)
+    one_hot = _assignments(m, d)
+    tables = np.einsum("ixa,jyb->ijxyab", one_hot, one_hot)
+    return _features(tables.reshape(-1, m, m, d, d))
 
 
 def maximize_gap(counts: CountsTable, trials: int = 20, rng=None) -> GapResult:
@@ -434,7 +401,7 @@ def maximize_gap(counts: CountsTable, trials: int = 20, rng=None) -> GapResult:
         sol = np.clip(res.x[:n], -1.0, 1.0)
         q = float(q_vec @ sol)
         dq = float(np.linalg.norm(g @ sol))
-        c, _ = _lhv_value_and_strategy(sol, sc)
+        c = lhv_bound(_unstack_coefficients(sol, sc))
         if c >= -1e-9:  # feasible candidates only
             value = (q - dq + dm) / (c + dm)
             if value > best[0]:
@@ -581,12 +548,15 @@ def kl_divergence(freq: BehaviorTable, model: BehaviorTable, weights=None) -> fl
 
     Model cells are floored at 1e-12; zero frequency cells contribute 0.
     """
-    f = freq.table
-    p = np.clip(model.table, 1e-12, None)
     m = freq.settings
     if weights is None:
         weights = np.full((m, m), 1.0 / (m * m))
-    weights = np.asarray(weights, dtype=float)
+    return _kl_bits(freq.table, model.table, np.asarray(weights, dtype=float))
+
+
+def _kl_bits(f: np.ndarray, model: np.ndarray, weights: np.ndarray) -> float:
+    """kl_divergence on raw (m, m, d, d) tables with (m, m) weights."""
+    p = np.clip(model, 1e-12, None)
     mask = f > 0
     terms = np.zeros_like(f)
     terms[mask] = f[mask] * np.log2(f[mask] / p[mask])
@@ -678,21 +648,14 @@ def no_signaling_fit(
     f = freq.table
     x = project(f)
 
-    def kl_of(arr: np.ndarray) -> float:
-        p = np.clip(arr, 1e-12, None)
-        mask = f > 0
-        t = np.zeros_like(f)
-        t[mask] = f[mask] * np.log2(f[mask] / p[mask])
-        return float((weights[:, :, None, None] * t).sum())
-
-    current = kl_of(x)
+    current = _kl_bits(f, x, weights)
     step = 1.0
     for _ in range(int(max_iters)):
         grad = -weights[:, :, None, None] * f / np.clip(x, 1e-12, None) / math.log(2)
         moved = False
         while step > 1e-14:
             cand = project(x - step * grad)
-            val = kl_of(cand)
+            val = _kl_bits(f, cand, weights)
             if val < current - 1e-15:
                 x, current = cand, val
                 moved = True

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, bell, qmp, qse
 from .errors import NotConverged, NotViolatedAtAnyEfficiency, QopError
-from .mathcore import fidelity, matrix_to_dict
+from .mathcore import fidelity, load_ref, matrix_to_dict
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -65,14 +65,11 @@ def _sidecar(out_dir, command, config_path, seed, threads, started, extra=None):
     _write_json(os.path.join(out_dir, "run_info.json"), info)
 
 
-def _resolve_inline(cfg, key: str, base_dir: str, loader):
-    """Config entry that is either inline JSON or a relative file path."""
-    raw = cfg.get(key)
-    if raw is None:
+def _entry(cfg, key: str):
+    """Config entry that must be present and not null."""
+    if cfg.get(key) is None:
         raise QopError(f"config is missing {key!r}")
-    if isinstance(raw, str):
-        raw = _load_json(os.path.join(base_dir, raw))
-    return loader(raw)
+    return cfg[key]
 
 
 _REQUIRED = object()
@@ -87,6 +84,18 @@ def _number(cfg, key: str, kind, default=_REQUIRED):
         return kind(raw)
     except (TypeError, ValueError):
         raise QopError(f"config entry {key!r} must be a number, got {json.dumps(raw)}") from None
+
+
+def _integers(cfg, key: str, count=None) -> list[int]:
+    """Config entry that must be a list of integers, of count entries when given."""
+    raw = cfg.get(key)
+    if isinstance(raw, list) and count in (None, len(raw)):
+        try:
+            return [int(v) for v in raw]
+        except (TypeError, ValueError):
+            pass
+    what = "a list of integers" if count is None else f"a list of {count} integers"
+    raise QopError(f"config entry {key!r} must be {what}, got {json.dumps(raw)}")
 
 
 def _schedule(raw) -> qmp.HalpernSchedule:
@@ -113,6 +122,8 @@ class _Runner:
         os.makedirs(self.out_dir, exist_ok=True)
         try:
             cfg = _load_json(self.config_path)
+            if not isinstance(cfg, dict):
+                raise QopError("config must be a JSON object")
             click.echo(f"{self.command}: seed={self.seed} config={self.config_path}", err=True)
             code, result, extra = body(cfg)
             result["command"] = self.command
@@ -207,7 +218,7 @@ def bell_lhv(config_path, out_dir, seed, threads):
     runner = _Runner("bell-lhv", config_path, out_dir, seed, threads)
 
     def body(cfg):
-        ineq = _resolve_inline(cfg, "inequality", runner.base_dir, bell.inequality_from_dict)
+        ineq = load_ref(_entry(cfg, "inequality"), runner.base_dir, bell.inequality_from_dict)
         bound = bell.lhv_bound(ineq)
         click.echo(f"{bound:g}")
         return EXIT_OK, {"bound": bound}, None
@@ -222,7 +233,7 @@ def bell_optimize(config_path, out_dir, seed, threads):
     runner = _Runner("bell-optimize", config_path, out_dir, seed, threads)
 
     def body(cfg):
-        counts = _resolve_inline(cfg, "counts", runner.base_dir, bell.counts_from_dict)
+        counts = load_ref(_entry(cfg, "counts"), runner.base_dir, bell.counts_from_dict)
         res = bell.maximize_gap(counts, trials=_number(cfg, "trials", int, 20), rng=seed)
         printed = bell.format_inequality(res.inequality)
         click.echo(printed)
@@ -247,11 +258,11 @@ def bell_efficiency(config_path, out_dir, seed, threads):
     runner = _Runner("bell-efficiency", config_path, out_dir, seed, threads)
 
     def body(cfg):
-        ineq = _resolve_inline(cfg, "inequality", runner.base_dir, bell.inequality_from_dict)
+        ineq = load_ref(_entry(cfg, "inequality"), runner.base_dir, bell.inequality_from_dict)
         if "behavior" in cfg:
-            behavior = _resolve_inline(cfg, "behavior", runner.base_dir, bell.behavior_from_dict)
+            behavior = load_ref(_entry(cfg, "behavior"), runner.base_dir, bell.behavior_from_dict)
         else:
-            behavior = _resolve_inline(cfg, "counts", runner.base_dir, bell.counts_from_dict).behavior()
+            behavior = load_ref(_entry(cfg, "counts"), runner.base_dir, bell.counts_from_dict).behavior()
         mode = cfg.get("mode", "symmetric")
         try:
             eta = bell.efficiency_threshold(ineq, behavior, mode=mode)
@@ -323,10 +334,11 @@ def qmp_sweep(config_path, out_dir, seed, threads):
     runner = _Runner("qmp-sweep", config_path, out_dir, seed, threads)
 
     def body(cfg):
-        m_values = cfg.get("m_values")
-        if m_values is None:
-            lo, hi = cfg["m_range"]
-            m_values = list(range(int(lo), int(hi) + 1))
+        if cfg.get("m_values") is None:
+            lo, hi = _integers(cfg, "m_range", 2)
+            m_values = list(range(lo, hi + 1))
+        else:
+            m_values = _integers(cfg, "m_values")
         result = {
             "N": _number(cfg, "N", int),
             "k": _number(cfg, "k", int),

@@ -7,7 +7,9 @@ ndarrays; subsystems are integer indices 0..N-1.
 from __future__ import annotations
 
 import enum
+import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -465,3 +467,16 @@ def matrix_from_dict(obj: dict) -> np.ndarray:
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise InvalidInput("matrix entries do not match declared dim")
     return re + 1j * im
+
+
+def load_ref(raw, base_dir, parse):
+    """Parse a config entry given inline or as a path to a JSON file holding it.
+
+    A relative path is taken from base_dir, the directory of the config
+    that names it; base_dir None leaves the path as given.
+    """
+    if isinstance(raw, str):
+        path = raw if base_dir is None else os.path.join(base_dir, raw)
+        with open(path) as fh:
+            raw = json.load(fh)
+    return parse(raw)

@@ -35,6 +35,7 @@ from .mathcore import (
     eigh,
     hermitize,
     hs_distance,
+    load_ref,
     matrix_from_dict,
     matrix_to_dict,
     partial_trace,
@@ -546,39 +547,30 @@ def problem_from_dict(obj: dict, base_dir=None) -> tuple[MarginalSpec, SpectralC
     A target state may be an inline matrix dict, a path to a JSON file
     holding one, or the token "maximally-mixed".
     """
-    import json
-    import os
-
     try:
         n = int(obj["N"])
         d = int(obj["d"])
-        raw_targets = obj["targets"]
+        raw_targets = [
+            (tuple(int(i) for i in entry["subset"]), entry["state"]) for entry in obj["targets"]
+        ]
         raw_constraint = obj["constraint"]
+        if "rank" in raw_constraint:
+            constraint = SpectralConstraint.with_rank(int(raw_constraint["rank"]))
+        elif "spectra" in raw_constraint:
+            constraint = SpectralConstraint.with_spectrum(raw_constraint["spectra"])
+        else:
+            raise InvalidInput("constraint must carry 'rank' or 'spectra'")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed problem description: {exc}") from exc
     targets = []
-    for entry in raw_targets:
-        subset = tuple(int(i) for i in entry["subset"])
-        state = entry["state"]
-        dk = d ** len(subset)
-        if isinstance(state, str):
-            if state == "maximally-mixed":
-                mat = np.eye(dk, dtype=complex) / dk
-            else:
-                path = state if base_dir is None else os.path.join(base_dir, state)
-                with open(path) as fh:
-                    mat = matrix_from_dict(json.load(fh))
+    for subset, state in raw_targets:
+        if state == "maximally-mixed":
+            dk = d ** len(subset)
+            mat = np.eye(dk, dtype=complex) / dk
         else:
-            mat = matrix_from_dict(state)
+            mat = load_ref(state, base_dir, matrix_from_dict)
         targets.append((subset, mat))
-    spec = MarginalSpec(n, d, targets)
-    if "rank" in raw_constraint:
-        constraint = SpectralConstraint.with_rank(int(raw_constraint["rank"]))
-    elif "spectra" in raw_constraint:
-        constraint = SpectralConstraint.with_spectrum(raw_constraint["spectra"])
-    else:
-        raise InvalidInput("constraint must carry 'rank' or 'spectra'")
-    return spec, constraint
+    return MarginalSpec(n, d, targets), constraint
 
 
 def problem_to_dict(spec: MarginalSpec, constraint: SpectralConstraint) -> dict:

@@ -28,6 +28,8 @@ from .mathcore import (
     fidelity,
     hermitize,
     hs_distance,
+    load_ref,
+    matrix_from_dict,
     mub_bases,
     pauli_product_bases,
     qubit_mub_bases,
@@ -203,30 +205,16 @@ def nearest_density_matrix(rho: np.ndarray) -> QuantumState:
 
     Diagonalize, then shift the spectrum down by the x0 solving
     sum_i max(lambda_i - x0, 0) = 1 and clip at zero; this is the
-    Hilbert-Schmidt projection onto the spectrahedron.  x0 is located
-    by bisection (the left-hand side is monotone in x0) and sharpened
-    to machine precision on the final active set.
+    Hilbert-Schmidt projection onto the spectrahedron.  x0 is exact by
+    sort and threshold: with the eigenvalues in descending order, the
+    kept ones are the longest prefix whose last member exceeds the shift
+    that prefix alone would need (Smolin, Gambetta & Smith, PRL 108,
+    070502, 2012).
     """
     rho = check_hermitian(np.asarray(rho, dtype=complex))
-    lam, u = eigh(rho)
-
-    def excess(x: float) -> float:
-        return float(np.sum(np.clip(lam - x, 0.0, None)) - 1.0)
-
-    lo, hi = float(lam[-1]) - 1.0, float(lam[0])
-    # excess(lo) >= 0 by construction, excess(hi) = -1
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    active = lam > hi
-    if not np.any(active):
-        active = lam > lo
-    x0 = (float(lam[active].sum()) - 1.0) / int(active.sum())
+    lam, u = eigh(rho)  # descending
+    shifts = (np.cumsum(lam) - 1.0) / np.arange(1, lam.size + 1)
+    x0 = shifts[np.flatnonzero(lam > shifts)[-1]]
     spec = np.clip(lam - x0, 0.0, None)
     out = hermitize((u * spec) @ u.conj().T)
     return QuantumState(out)
@@ -379,20 +367,6 @@ def completeness_rank(measurements: Sequence[MeasurementSet]) -> int:
     return int(np.linalg.matrix_rank(np.asarray(rows), tol=1e-10))
 
 
-def _matrix_ref(entry, base_dir=None) -> np.ndarray:
-    """Inline matrix dict, or a path to a JSON file holding one."""
-    import json
-    import os
-
-    from .mathcore import matrix_from_dict
-
-    if isinstance(entry, str):
-        path = entry if base_dir is None else os.path.join(base_dir, entry)
-        with open(path) as fh:
-            return matrix_from_dict(json.load(fh))
-    return matrix_from_dict(entry)
-
-
 def estimation_problem_from_dict(obj: dict, base_dir=None):
     """Parse {"measurements", "frequencies", "epsilon", "max_iters"}.
 
@@ -403,25 +377,27 @@ def estimation_problem_from_dict(obj: dict, base_dir=None):
     """
     try:
         raw_meas = obj["measurements"]
-        raw_freq = obj["frequencies"]
-    except (KeyError, TypeError) as exc:
+        frequencies = [np.asarray(f, dtype=float) for f in obj["frequencies"]]
+        if isinstance(raw_meas, dict):
+            qubits, protocol = int(raw_meas["qubits"]), raw_meas["protocol"]
+        else:
+            raw_sets = [(entry.get("kind", "pvm"), list(entry["effects"])) for entry in raw_meas]
+        accuracy = float(obj.get("epsilon", 1e-10))
+        max_iterations = int(obj.get("max_iters", 10_000))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed problem file: {exc}") from exc
     if isinstance(raw_meas, dict):
-        measurements = measurement_protocol(int(raw_meas["qubits"]), raw_meas["protocol"])
+        measurements = measurement_protocol(qubits, protocol)
     else:
-        measurements = []
-        for entry in raw_meas:
-            kind = MeasurementKind.coerce(entry.get("kind", "pvm"))
-            effects = [_matrix_ref(e, base_dir) for e in entry["effects"]]
-            measurements.append(MeasurementSet(effects, kind))
-    problem = EstimationProblem(
-        measurements,
-        [np.asarray(f, dtype=float) for f in raw_freq],
-        accuracy=float(obj.get("epsilon", 1e-10)),
-        max_iterations=int(obj.get("max_iters", 10_000)),
-    )
+        measurements = [
+            MeasurementSet(
+                [load_ref(e, base_dir, matrix_from_dict) for e in effects],
+                MeasurementKind.coerce(kind),
+            )
+            for kind, effects in raw_sets
+        ]
+    problem = EstimationProblem(measurements, frequencies, accuracy, max_iterations)
     reference = obj.get("reference")
     if reference is not None:
-        mat = _matrix_ref(reference, base_dir)
-        reference = QuantumState(mat)
+        reference = QuantumState(load_ref(reference, base_dir, matrix_from_dict))
     return problem, reference

@@ -1,4 +1,5 @@
 """Bell functionals: bounds, gap search, the tilted family, fits."""
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from qoptools.errors import (
     TooLargeScenario,
 )
 from qoptools.bell import (
+    _gap_pieces,
+    _strategy_matrix,
     BehaviorTable,
     BellInequality,
     BellScenario,
@@ -70,11 +73,47 @@ def test_lhv_bound_matches_recursive_oracle():
 
 def test_lhv_bound_larger_scenarios_against_oracle():
     rng = np.random.default_rng(91)
-    for m, d in ((3, 2), (2, 3)):
+    for m, d in ((3, 2), (2, 3), (4, 2), (3, 3)):
         for _ in range(3):
             ineq = _random_inequality(m, d, rng)
             want = oracles.lhv_recursive(ineq.joint, ineq.marg_a, ineq.marg_b)
             assert abs(lhv_bound(ineq) - want) < 1e-10
+
+
+def test_strategy_matrix_rows_are_deterministic_behaviors():
+    rng = np.random.default_rng(98)
+    for m, d in ((2, 3), (3, 2)):
+        rows = _strategy_matrix(BellScenario(m, d))
+        assignments = list(itertools.product(range(d), repeat=m))
+        assert rows.shape[0] == len(assignments) ** 2
+        for k, (a, b) in enumerate(itertools.product(assignments, assignments)):
+            joint = np.zeros((m, m, d, d))
+            marg_a = np.zeros((m, d))
+            marg_b = np.zeros((m, d))
+            for x in range(m):
+                marg_a[x, a[x]] = 1.0
+                marg_b[x, b[x]] = 1.0
+                for y in range(m):
+                    joint[x, y, a[x], b[y]] = 1.0
+            want = np.concatenate([joint.ravel(), marg_a.ravel(), marg_b.ravel()])
+            assert np.array_equal(rows[k], want)
+        for _ in range(5):
+            ineq = _random_inequality(m, d, rng)
+            s = np.concatenate([ineq.joint.ravel(), ineq.marg_a.ravel(), ineq.marg_b.ravel()])
+            assert abs(np.max(rows @ s) - lhv_bound(ineq)) < 1e-12
+
+
+def test_gap_pieces_match_quantum_value():
+    rng = np.random.default_rng(99)
+    for m, d in ((2, 2), (3, 2), (2, 3)):
+        counts = CountsTable(rng.integers(1, 5000, size=(m, m, d, d)).astype(float))
+        q_vec, g = _gap_pieces(counts)
+        for _ in range(5):
+            ineq = _random_inequality(m, d, rng)
+            s = np.concatenate([ineq.joint.ravel(), ineq.marg_a.ravel(), ineq.marg_b.ravel()])
+            q, dq = quantum_value(ineq, counts)
+            assert abs(q_vec @ s - q) < 1e-12
+            assert abs(np.linalg.norm(g @ s) - dq) < 1e-12
 
 
 def test_lhv_bound_chsh_is_zero():

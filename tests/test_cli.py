@@ -1,9 +1,10 @@
-"""End-to-end runs of the command line on real config files.
+"""End-to-end runs of the command line on real config files, and of the demos.
 
-Every run launches ``python -m qoptools`` with the ``qoptools`` package this
-test process imported first on PYTHONPATH, so the tests exercise the tree under
-test whatever is installed.  The console script declared in pyproject.toml is
-checked on its own in test_console_script_installed.
+Every run launches ``python -m qoptools`` (or a demo script) with the
+``qoptools`` package this test process imported first on PYTHONPATH, so the
+tests exercise the tree under test whatever is installed.  The console script
+declared in pyproject.toml is checked on its own in
+test_console_script_installed.
 """
 import json
 import os
@@ -17,6 +18,7 @@ import qoptools
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 CONFIGS = os.path.join(ROOT, "configs")
+DEMOS = os.path.join(ROOT, "demos")
 SUBCOMMANDS = ("qse-estimate", "qse-benchmark", "bell-lhv", "bell-optimize",
                "bell-efficiency", "qmp-solve", "qmp-sweep")
 # what a generated console script does: resolve "module:attr" and call it
@@ -66,6 +68,12 @@ def test_console_script_installed():
         assert proc.returncode == 0, proc.stderr
         for sub in SUBCOMMANDS:
             assert sub in proc.stdout
+
+
+@pytest.mark.parametrize("demo", ["bell_gap_demo.py", "estimation_demo.py"])
+def test_demo_runs(demo):
+    proc = launch([sys.executable, os.path.join(DEMOS, demo)])
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_bell_lhv_prints_bound(outdir):
@@ -209,10 +217,21 @@ def test_malformed_json_exits_one(tmp_path, outdir):
 
 
 def test_wrong_schema_exits_one(tmp_path, outdir):
+    pure3 = read_json(cfg("qmp_solve_pure3.json"))
+    mub1 = read_json(cfg("qse_estimate_mub1.json"))
+    sweep = {"N": 4, "k": 2, "d": 2, "trials": 2}
     cases = [
         ("bell-lhv", {"m": 2}),  # no usable inequality payload
-        ("qmp-solve", {**read_json(cfg("qmp_solve_pure3.json")), "schedule": {"bogus": 1}}),
+        ("bell-lhv", [1, 2]),
+        ("qmp-solve", {**pure3, "schedule": {"bogus": 1}}),
         ("qse-benchmark", {"protocol": "mub", "qubits": 1, "trials": None}),
+        ("qmp-sweep", {**sweep, "m_range": None}),
+        ("qmp-sweep", {**sweep, "m_values": 3}),
+        ("qmp-solve", {**pure3, "targets": None}),
+        ("qmp-solve", {**pure3, "constraint": None}),
+        ("qse-estimate", {**mub1, "measurements": 3}),
+        ("qse-estimate", {**mub1, "frequencies": None}),
+        ("qse-estimate", {**mub1, "measurements": [{"effects": None}]}),
     ]
     for i, (command, body) in enumerate(cases):
         config = tmp_path / f"wrong{i}.json"
