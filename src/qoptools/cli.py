@@ -3,7 +3,8 @@
 Every subcommand takes --config/--out/--seed/--threads, writes
 result.json (and any CSV plot data) into the output directory, and
 reserves stdout for machine-readable values.  Progress goes to stderr.
-Exit codes: 0 success, 1 bad input, 2 iteration cap hit (results are
+Exit codes: 0 success, 1 bad input or a degenerate iterate (qmp-solve
+still writes the trajectory up to it), 2 iteration cap hit (results are
 still written, flagged as unconverged).
 
 Wall-clock timestamps live in a run_info.json sidecar so that result
@@ -22,7 +23,7 @@ import click
 import numpy as np
 
 from . import __version__, bell, qmp, qse
-from .errors import NotConverged, NotViolatedAtAnyEfficiency, QopError
+from .errors import DegenerateIterate, NotConverged, NotViolatedAtAnyEfficiency, QopError
 from .mathcore import fidelity, load_ref, matrix_to_dict
 
 EXIT_OK = 0
@@ -291,6 +292,7 @@ def qmp_solve(config_path, out_dir, seed, threads):
             identity_seed=bool(cfg.get("identity_seed", False)),
         )
         code = EXIT_OK
+        degenerate = None
         try:
             if "schedule" in cfg:
                 sched = _schedule(cfg["schedule"])
@@ -301,9 +303,17 @@ def qmp_solve(config_path, out_dir, seed, threads):
             state, report = exc.result
             code = EXIT_NOT_CONVERGED
             click.echo("iteration cap hit before tolerance", err=True)
-        rows = report.trajectory_rows()
-        emit_plot_data(rows, "n,marginal_dist,spectral_dist,total_dist",
+        except DegenerateIterate as exc:
+            # the trajectory up to the failure is still written; _Runner reports the error
+            (state, report), degenerate = exc.result, exc
+        if report.eigh_fallbacks:
+            click.echo(f"qmp-solve: {report.eigh_fallbacks} of "
+                       f"{report.eigh_fallbacks + report.warm_eigensteps} warm top-"
+                       f"{constraint.rank} eigensteps were rejected and ran a full eigh", err=True)
+        emit_plot_data(report.trajectory_rows(), "n,marginal_dist,spectral_dist,total_dist",
                        os.path.join(runner.out_dir, "trajectory.csv"))
+        if degenerate is not None:
+            raise degenerate
         result = {
             "converged": report.converged,
             "iterations": report.iterations,
@@ -322,7 +332,11 @@ def qmp_solve(config_path, out_dir, seed, threads):
         if cfg.get("dump_state", True):
             result["state"] = matrix_to_dict(state.matrix)
         click.echo(f"{report.total_dist[-1]:.3e}")
-        return code, result, {"solver_runtime_seconds": report.runtime}
+        return code, result, {
+            "solver_runtime_seconds": report.runtime,
+            "warm_eigensteps": report.warm_eigensteps,
+            "eigh_fallbacks": report.eigh_fallbacks,
+        }
 
     runner(body)
 

@@ -37,16 +37,21 @@ class NotViolatedAtAnyEfficiency(QopError):
     """No detector efficiency in (0, 1] produces a violation for this data."""
 
 
-class DegenerateIterate(QopError):
-    """Iterate lost the structure the algorithm needs (e.g. zero trace)."""
+class _StoppedIteration(QopError):
+    """An iteration that stopped early, carrying its partial result.
 
-
-class NotConverged(QopError):
-    """Iteration hit its cap before reaching tolerance.
-
-    Carries the partial result so callers can inspect the trajectory.
+    `result` is whatever the solver had when it stopped, e.g. the last
+    good iterate and the trajectory so far, or None.
     """
 
     def __init__(self, message: str, result=None):
         super().__init__(message)
         self.result = result
+
+
+class DegenerateIterate(_StoppedIteration):
+    """Iterate lost the structure the algorithm needs (e.g. zero trace)."""
+
+
+class NotConverged(_StoppedIteration):
+    """Iteration hit its cap before reaching tolerance."""

@@ -235,27 +235,37 @@ def closed_formula(name, sigmas_2, sigmas_1, sigmas_k, n, d, embed):
     raise ValueError(name)
 
 
-def plain_marginal_iteration(seed, targets, n, d, rank, steps):
-    """Naive reimplementation of the alternating iteration for comparison.
+def reduction_einsum(mat, keep, n, d):
+    """Partial trace onto sorted `keep` by one einsum contraction."""
+    t = np.asarray(mat).reshape((d,) * (2 * n))
+    bra = [n + i if i in keep else i for i in range(n)]
+    out = list(keep) + [n + i for i in keep]
+    k = d ** len(keep)
+    return np.einsum(t, list(range(n)) + bra, out).reshape(k, k)
 
-    targets: list of (subset, matrix).  Returns the list of iterates
-    after each spectral truncation.
+
+def reference_marginal_solve(x0, spec, constraint, steps, impose_all, impose_spectrum):
+    """The plain alternating iteration on dense, full-spectrum steps.
+
+    Each step is impose_all, hermitize, then impose_spectrum (a full
+    eigendecomposition).  The spectral distance is the euclidean gap
+    between the full spectra before and after the projection, and the
+    marginal distance the rms Hilbert-Schmidt distance of einsum
+    reductions.  Returns one (marginal_dist, spectral_dist, iterate) per
+    step for `steps` steps, with no convergence test.
     """
-    x = np.array(seed, dtype=complex)
-    dims = [d] * n
-    iterates = []
+    n, d = spec.n_parties, spec.local_dim
+    x = np.array(x0, dtype=complex)
+    out = []
     for _ in range(steps):
-        for subset, sigma in targets:
-            red = partial_trace_loops(x, subset, dims)
-            x = x - embed_loops(red, subset, n, d) + embed_loops(sigma, subset, n, d)
-        x = 0.5 * (x + x.conj().T)
-        w, v = np.linalg.eigh(x)
-        w = w[::-1]
-        v = v[:, ::-1]
-        lam = np.zeros_like(w)
-        pos = w[w > 0]
-        keep = min(rank, pos.size)
-        lam[:keep] = w[:keep] / w[:keep].sum()
-        x = (v * lam) @ v.conj().T
-        iterates.append(x.copy())
-    return iterates
+        xp = impose_all(x, spec)
+        xp = 0.5 * (xp + xp.conj().T)
+        x = impose_spectrum(xp, constraint)
+        before = np.sort(np.linalg.eigvalsh(xp))[::-1]
+        after = np.sort(np.linalg.eigvalsh(x))[::-1]
+        dl = float(np.linalg.norm(before - after))
+        errs = [np.linalg.norm(reduction_einsum(x, sub, n, d) - sigma.matrix) ** 2
+                for sub, sigma in spec.targets]
+        dm = math.sqrt(sum(errs) / len(errs))
+        out.append((dm, dl, x))
+    return out

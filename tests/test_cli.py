@@ -70,7 +70,7 @@ def test_console_script_installed():
             assert sub in proc.stdout
 
 
-@pytest.mark.parametrize("demo", ["bell_gap_demo.py", "estimation_demo.py"])
+@pytest.mark.parametrize("demo", ["bell_gap_demo.py", "estimation_demo.py", "marginal_demo.py"])
 def test_demo_runs(demo):
     proc = launch([sys.executable, os.path.join(DEMOS, demo)])
     assert proc.returncode == 0, proc.stderr
@@ -160,6 +160,50 @@ def test_qmp_solve_writes_trajectory(outdir):
     last = lines[-1].split(",")
     assert int(last[0]) == result["iterations"]
     assert float(last[3]) == result["final"]["total_dist"]
+    info = read_json(os.path.join(outdir, "run_info.json"))
+    assert info["warm_eigensteps"] == result["iterations"] - 1
+    assert info["eigh_fallbacks"] == 0
+    assert "eigensteps were rejected" not in proc.stderr
+
+
+def test_qmp_solve_reports_eigh_fallbacks(monkeypatch, outdir):
+    # in-process, so ARPACK can be made to fail: every warm step falls back
+    from click.testing import CliRunner
+
+    from qoptools import cli, qmp
+
+    def no_convergence(*args, **kwargs):
+        raise qmp.ArpackNoConvergence("forced", None, None)
+
+    monkeypatch.setattr(qmp, "eigsh", no_convergence)
+    res = CliRunner().invoke(cli.main, ["qmp-solve", "--config", cfg("qmp_solve_pure3.json"),
+                                        "--out", outdir])
+    assert res.exit_code == 0, res.stderr
+    result = read_json(os.path.join(outdir, "result.json"))
+    info = read_json(os.path.join(outdir, "run_info.json"))
+    assert info["warm_eigensteps"] == 0
+    assert info["eigh_fallbacks"] == result["iterations"] - 1 > 0
+    lines = [ln for ln in res.stderr.splitlines() if "eigensteps were rejected" in ln]
+    assert len(lines) == 1
+    assert "warm_eigensteps" not in result and "eigh_fallbacks" not in result
+
+
+def test_qmp_solve_degenerate_iterate_keeps_trajectory(tmp_path, outdir):
+    # full momentum on the infeasible AME(4,2) prescription overflows after ~500 sweeps
+    config = tmp_path / "diverge.json"
+    config.write_text(json.dumps({**read_json(cfg("qmp_solve_ame42.json")),
+                                  "schedule": {}, "max_iterations": 2000}))
+    proc = run_cli("qmp-solve", "--config", str(config), "--out", outdir, "--seed", "0")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "diverged" in errors[0]
+    assert not os.path.exists(os.path.join(outdir, "result.json"))
+    with open(os.path.join(outdir, "trajectory.csv")) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "n,marginal_dist,spectral_dist,total_dist"
+    steps = [int(ln.split(",")[0]) for ln in lines[1:]]
+    assert steps == list(range(1, len(steps) + 1)) and 1 < len(steps) < 2000
 
 
 def test_qmp_solve_unconverged_exit_two(outdir):
@@ -191,15 +235,16 @@ def test_qmp_sweep_threads_invariant(tmp_path):
 
 
 def test_reruns_are_byte_identical(tmp_path):
-    blobs = []
-    for name in ("a", "b"):
-        out = str(tmp_path / name)
-        proc = run_cli("bell-lhv", "--config", cfg("bell_lhv_chsh.json"),
-                       "--out", out, "--seed", "0")
-        assert proc.returncode == 0
-        with open(os.path.join(out, "result.json"), "rb") as fh:
-            blobs.append(fh.read())
-    assert blobs[0] == blobs[1]
+    for command, config in [("bell-lhv", "bell_lhv_chsh.json"),
+                            ("qmp-solve", "qmp_solve_pure3.json")]:
+        blobs = []
+        for name in ("a", "b"):
+            out = str(tmp_path / command / name)
+            proc = run_cli(command, "--config", cfg(config), "--out", out, "--seed", "0")
+            assert proc.returncode == 0
+            with open(os.path.join(out, "result.json"), "rb") as fh:
+                blobs.append(fh.read())
+        assert blobs[0] == blobs[1], command
 
 
 def test_missing_config_exits_one(outdir):
@@ -229,6 +274,7 @@ def test_wrong_schema_exits_one(tmp_path, outdir):
         ("qmp-sweep", {**sweep, "m_values": 3}),
         ("qmp-solve", {**pure3, "targets": None}),
         ("qmp-solve", {**pure3, "constraint": None}),
+        ("qmp-solve", {**pure3, "constraint": {"spectra": None}}),
         ("qse-estimate", {**mub1, "measurements": 3}),
         ("qse-estimate", {**mub1, "frequencies": None}),
         ("qse-estimate", {**mub1, "measurements": [{"effects": None}]}),

@@ -17,6 +17,7 @@ from qoptools.mathcore import (
     random_mixed_state,
     random_pure_state,
 )
+from qoptools import qmp
 from qoptools.qmp import (
     HalpernSchedule,
     MarginalSpec,
@@ -56,6 +57,21 @@ def test_impose_marginal_writes_the_reduction():
         assert np.abs(red - sigma).max() < 1e-12
         assert abs(np.trace(out) - 1.0) < 1e-12
         assert np.abs(out - out.conj().T).max() < 1e-12
+
+
+def test_impose_marginal_matches_dense_embedding():
+    # the strided in-place update against rho - embed(Tr_Jc rho) + embed(sigma)
+    rng = np.random.default_rng(131)
+    for n, d in [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]:
+        dims = (d,) * n
+        rho = random_mixed_state(dims, rng).matrix
+        for k in range(1, n):
+            for subset in itertools.combinations(range(n), k):
+                sigma = random_mixed_state((d,) * k, rng).matrix
+                want = (rho - embed_with_mixed(partial_trace(rho, subset, dims), subset, n, d)
+                        + embed_with_mixed(sigma, subset, n, d))
+                got = impose_marginal(rho, subset, sigma, d)
+                assert np.abs(got - want).max() < 1e-14, (n, d, subset)
 
 
 def test_impose_marginal_keeps_disjoint_reductions():
@@ -208,6 +224,11 @@ def test_spectral_constraint_validation():
         SpectralConstraint.with_spectrum([0.7, -0.2])
     with pytest.raises(InvalidInput):
         SpectralConstraint("both", spectrum=[1.0], rank=1)
+    # NaN compares false against every bound, so it needs its own check
+    with pytest.raises(InvalidInput):
+        SpectralConstraint.with_spectrum(None)
+    with pytest.raises(InvalidInput):
+        SpectralConstraint.with_spectrum([np.nan, np.nan])
 
 
 def test_impose_spectrum_writes_spectrum_exactly():
@@ -299,6 +320,98 @@ def test_solve_seed_reproducibility():
             else:
                 assert np.abs(state.matrix - a[0]).max() == 0.0
                 assert np.abs(report.total_dist - a[1]).max() == 0.0
+
+
+def _solve_steps(spec, con, seed, **kwargs):
+    """solve from the seeded random start; the partial result when capped."""
+    try:
+        return solve(spec, con, rng=np.random.default_rng(seed), **kwargs)
+    except NotConverged as err:
+        return err.result
+
+
+def _assert_matches_reference(spec, con, seed, state, report):
+    dims = (spec.local_dim,) * spec.n_parties
+    x0 = random_mixed_state(dims, np.random.default_rng(seed)).matrix
+    ref = oracles.reference_marginal_solve(x0, spec, con, report.iterations,
+                                           impose_all, impose_spectrum)
+    assert np.array_equal(report.steps, np.arange(1, report.iterations + 1))
+    assert np.abs(np.array([r[0] for r in ref]) - report.marginal_dist).max() < 1e-10
+    assert np.abs(np.array([r[1] for r in ref]) - report.spectral_dist).max() < 1e-10
+    assert np.abs(ref[-1][2] - state.matrix).max() < 1e-10
+
+
+def test_rank_mode_steps_match_full_spectrum_reference():
+    # warm top-r eigensteps against a loop of full decompositions, step by step
+    ame43 = ame_spec(4, 3)
+    gen = random_mixed_state((3, 3, 3), np.random.default_rng(132), rank=2)
+    rank2 = spec_from_generator(gen, list(itertools.combinations(range(3), 2)))
+    for spec, con, seed in [(ame43, SpectralConstraint.with_rank(1), 13),
+                            (rank2, SpectralConstraint.with_rank(2), 6)]:
+        state, report = _solve_steps(spec, con, seed, max_iterations=5000)
+        assert report.converged
+        assert report.warm_eigensteps == report.iterations - 1
+        assert report.eigh_fallbacks == 0
+        _assert_matches_reference(spec, con, seed, state, report)
+
+
+def test_rank_one_solve_resolves_distances_below_sqrt_eps():
+    # ||X||^2 - sum(w^2) cancels at about 1.5e-8; the direct tail norm does not
+    # and can even reach 0 by luck, so the steps are also checked one by one
+    gen = random_pure_state((2, 2, 2), np.random.default_rng(11))
+    spec = spec_from_generator(gen, list(itertools.combinations(range(3), 2)))
+    con = SpectralConstraint.with_rank(1)
+    state, report = _solve_steps(spec, con, 12, accuracy=1e-12, max_iterations=20000)
+    assert report.converged
+    assert report.total_dist[-1] <= 1e-12
+    assert report.warm_eigensteps == report.iterations - 1
+    assert fidelity(state, gen) > 1 - 1e-10
+    _assert_matches_reference(spec, con, 12, state, report)
+
+
+def _arpack_fails(*args, **kwargs):
+    raise qmp.ArpackNoConvergence("forced", np.zeros(0), np.zeros((0, 0)))
+
+
+def _arpack_misses(a, k, **kwargs):
+    # a converged-looking answer that is no eigenvector of `a`
+    return np.ones(k), np.eye(a.shape[0], k, dtype=complex)
+
+
+@pytest.mark.parametrize("stub", [_arpack_fails, _arpack_misses])
+def test_rejected_warm_step_falls_back_to_the_reference_step(monkeypatch, stub):
+    monkeypatch.setattr(qmp, "eigsh", stub)
+    gen = random_pure_state((2, 2, 2), np.random.default_rng(133))
+    spec = spec_from_generator(gen, list(itertools.combinations(range(3), 2)))
+    con = SpectralConstraint.with_rank(1)
+    state, report = _solve_steps(spec, con, 7, accuracy=1e-14, max_iterations=40)
+    assert report.iterations == 40
+    assert report.warm_eigensteps == 0
+    assert report.eigh_fallbacks == 39
+    _assert_matches_reference(spec, con, 7, state, report)
+
+
+def test_spectra_mode_and_near_full_rank_never_warm_start(monkeypatch):
+    monkeypatch.setattr(qmp, "eigsh", _arpack_fails)
+    gen = random_mixed_state((2, 2), np.random.default_rng(134))
+    spec = spec_from_generator(gen, [(0,), (1,)])
+    lam = np.sort(np.linalg.eigvalsh(gen.matrix))[::-1]
+    for con in (SpectralConstraint.with_spectrum(lam), SpectralConstraint.with_rank(3)):
+        _, report = _solve_steps(spec, con, 8, accuracy=1e-14, max_iterations=20)
+        assert report.warm_eigensteps == report.eigh_fallbacks == 0
+
+
+def test_diverging_iterate_keeps_its_partial_result():
+    # full momentum on an infeasible prescription overflows after ~500 sweeps
+    with pytest.raises(DegenerateIterate) as err:
+        solve_accelerated(ame_spec(4, 2), SpectralConstraint.with_rank(1), HalpernSchedule(),
+                          max_iterations=2000, rng=0)
+    state, report = err.value.result
+    assert not report.converged
+    assert 1 < report.iterations < 2000
+    assert report.steps[-1] == report.iterations
+    assert np.all(np.isfinite(state.matrix))
+    assert abs(np.trace(state.matrix) - 1.0) < 1e-9
 
 
 def test_halpern_schedule_validation_and_coefficients():
