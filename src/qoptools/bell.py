@@ -301,9 +301,10 @@ def behavior_from_state(
         for y, by in enumerate(settings_b):
             if len(ax) != d or len(by) != d:
                 raise InvalidInput("all settings need the same outcome count")
+            effects_a, effects_b = ax.effects, by.effects
             for a in range(d):
                 for b in range(d):
-                    eff = kron(ax.effects[a], by.effects[b])
+                    eff = kron(effects_a[a], effects_b[b])
                     table[x, y, a, b] = float(np.trace(rho @ eff).real)
     return BehaviorTable(np.clip(table, 0.0, 1.0))
 

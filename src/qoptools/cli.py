@@ -107,6 +107,20 @@ def _schedule(raw) -> qmp.HalpernSchedule:
     return qmp.HalpernSchedule(**{k: _number(raw, k, float) for k in raw})
 
 
+# every top-level key each command reads; any other key is a typo and exits 1
+_CONFIG_KEYS = {
+    "qse-estimate": {"measurements", "frequencies", "epsilon", "max_iters", "reference",
+                     "dump_state"},
+    "qse-benchmark": {"protocol", "qubits", "trials", "white_noise", "samples_factor"},
+    "bell-lhv": {"inequality"},
+    "bell-optimize": {"counts", "trials"},
+    "bell-efficiency": {"inequality", "behavior", "counts", "mode"},
+    "qmp-solve": {"N", "d", "targets", "constraint", "accuracy", "max_iterations",
+                  "identity_seed", "schedule", "dump_state"},
+    "qmp-sweep": {"N", "k", "d", "generator", "trials", "m_range", "m_values"},
+}
+
+
 class _Runner:
     """Shared setup/teardown: config loading, timing, sidecar, exit code."""
 
@@ -125,6 +139,12 @@ class _Runner:
             cfg = _load_json(self.config_path)
             if not isinstance(cfg, dict):
                 raise QopError("config must be a JSON object")
+            known = _CONFIG_KEYS[self.command]
+            unknown = sorted(set(cfg) - known)
+            if unknown:
+                raise QopError(f"unknown config key(s) for {self.command}: "
+                               f"{', '.join(map(repr, unknown))}; known keys: "
+                               f"{', '.join(sorted(known))}")
             click.echo(f"{self.command}: seed={self.seed} config={self.config_path}", err=True)
             code, result, extra = body(cfg)
             result["command"] = self.command
@@ -205,9 +225,10 @@ def qse_benchmark(config_path, out_dir, seed, threads):
             white_noise=result["white_noise"],
             samples_factor=result["samples_factor"],
         )
+        timings = {key: stats.pop(key) for key in ("protocol_seconds", "trials_seconds")}
         result.update(stats)
         click.echo(f"{result['mean_fidelity']:.6f}")
-        return EXIT_OK, result, None
+        return EXIT_OK, result, timings
 
     runner(body)
 

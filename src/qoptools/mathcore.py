@@ -105,57 +105,133 @@ class MeasurementKind(enum.Enum):
             raise InvalidMeasurementKind(f"unknown measurement kind {kind!r}") from None
 
 
-@dataclass(frozen=True)
+UNITARY_TOL = 1e-8
+
+
+def _unitarity_defect(v: np.ndarray) -> float:
+    """max |(V†V - I)_ij|, zero exactly when the columns of v are orthonormal."""
+    return float(np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))))
+
+
+def _check_complete(effects: np.ndarray, eigenvalues: np.ndarray) -> None:
+    if np.min(eigenvalues) < PSD_SLACK:
+        raise InvalidInput("effect has an eigenvalue below -1e-10")
+    if np.max(np.abs(effects.sum(axis=0) - np.eye(effects.shape[1]))) > 1e-8:
+        raise InvalidInput("effects do not sum to identity within 1e-8")
+
+
+def _projector_basis(projectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Basis unitary and column outcomes of a (K, D, D) stack of orthogonal projectors.
+
+    Each projector is diagonalized once; its unit-eigenvalue eigenvectors
+    become the basis columns of its outcome.
+    """
+    w, vecs = np.linalg.eigh(projectors)
+    _check_complete(projectors, w)
+    keep = w > 0.5
+    if np.max(np.abs(w - keep)) > UNITARY_TOL:
+        raise InvalidInput("PVM effects are not orthogonal projectors")
+    if not np.all(keep.any(axis=1)):
+        raise InvalidInput("PVM effect is the zero projector")
+    basis = vecs.transpose(1, 0, 2)[:, keep]  # columns ordered by projector, then eigenvector
+    if basis.shape[1] != basis.shape[0] or _unitarity_defect(basis) > UNITARY_TOL:
+        raise InvalidInput("PVM effects are not orthogonal projectors")
+    return basis, np.nonzero(keep)[0]
+
+
+@dataclass(frozen=True, eq=False)  # arrays have no truth value: compare by identity
 class MeasurementSet:
     """A family of effects with a declared kind.
 
-    PVM: orthogonal projectors summing to identity.
+    PVM: orthogonal projectors summing to identity, stored as a basis
+    unitary V (`basis`) plus the outcome index of each of its columns
+    (`outcomes`).  The projector of outcome k is the sum of v_j v_j† over
+    the columns j with outcomes[j] == k, so a rank-r projector is r
+    columns sharing one index.  `from_basis` takes V directly; the
+    constructor takes the projectors and diagonalizes them once.
     POVM: PSD effects summing to identity.
     OBSERVABLE_BASIS: Hermitian operators, pairwise orthogonal in the
     Hilbert-Schmidt inner product (targets are expectation values, so
     effects here need not be positive or complete).
+    POVM and observable sets keep their dense stack of effects.
     """
 
-    effects: np.ndarray
-    kind: MeasurementKind = MeasurementKind.PVM
-    labels: tuple[str, ...] | None = None
+    kind: MeasurementKind
+    labels: tuple[str, ...] | None
+    basis: np.ndarray | None
+    outcomes: np.ndarray | None
+    _stack: np.ndarray | None = field(repr=False)
 
     def __init__(self, effects, kind=MeasurementKind.PVM, labels=None):
         kind = MeasurementKind.coerce(kind)
         arr = np.stack([check_hermitian(e) for e in effects])
-        d = arr.shape[1]
-        ident = np.eye(d)
-        if kind in (MeasurementKind.PVM, MeasurementKind.POVM):
-            for e in arr:
-                if np.linalg.eigvalsh(e)[0] < PSD_SLACK:
-                    raise InvalidInput("effect has an eigenvalue below -1e-10")
-            if np.max(np.abs(arr.sum(axis=0) - ident)) > 1e-8:
-                raise InvalidInput("effects do not sum to identity within 1e-8")
         if kind is MeasurementKind.PVM:
-            for i, ei in enumerate(arr):
-                for j, ej in enumerate(arr):
-                    ref = ei if i == j else 0.0
-                    if np.max(np.abs(ei @ ej - ref)) > 1e-8:
-                        raise InvalidInput("PVM effects are not orthogonal projectors")
+            basis, outcomes = _projector_basis(arr)
+            self._store(kind, labels, len(arr), basis=basis, outcomes=outcomes)
+            return
+        if kind is MeasurementKind.POVM:
+            _check_complete(arr, np.linalg.eigvalsh(arr))
         if kind is MeasurementKind.OBSERVABLE_BASIS:
             for i, ei in enumerate(arr):
                 for j in range(i):
                     if abs(np.trace(ei @ arr[j])) > 1e-8:
                         raise InvalidInput("observables are not HS-orthogonal")
+        self._store(kind, labels, len(arr), stack=arr)
+
+    @classmethod
+    def from_basis(cls, basis, outcomes=None, labels=None) -> "MeasurementSet":
+        """PVM in which column j of the unitary `basis` belongs to outcome outcomes[j].
+
+        outcomes defaults to one outcome per column (rank-one projectors);
+        every index from 0 up to its largest must occur.  The basis must
+        be unitary within 1e-8, measured as max |(V†V - I)_ij|.
+        """
+        v = np.array(basis, dtype=complex)
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+            raise InvalidInput(f"expected a square basis matrix, got shape {v.shape}")
+        if _unitarity_defect(v) > UNITARY_TOL:
+            raise InvalidInput("PVM basis is not unitary within 1e-8")
+        g = np.arange(v.shape[1]) if outcomes is None else np.asarray(outcomes)
+        if g.shape != (v.shape[1],) or g.dtype.kind not in "iu" or g.min() < 0:
+            raise InvalidInput("outcomes must give one nonnegative integer per basis column")
+        g = g.astype(np.intp)  # a copy: the caller's array stays writeable
+        count = int(g.max()) + 1
+        if np.any(np.bincount(g, minlength=count) == 0):
+            raise InvalidInput("every outcome up to the largest index needs a basis column")
+        out = cls.__new__(cls)
+        out._store(MeasurementKind.PVM, labels, count, basis=v, outcomes=g)
+        return out
+
+    def _store(self, kind, labels, count, basis=None, outcomes=None, stack=None):
         if labels is not None:
             labels = tuple(str(x) for x in labels)
-            if len(labels) != len(arr):
+            if len(labels) != count:
                 raise InvalidInput("labels length does not match effects")
-        object.__setattr__(self, "effects", arr)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "labels", labels)
+        for arr in (basis, outcomes, stack):
+            if arr is not None:
+                arr.flags.writeable = False
+        for name, value in (("kind", kind), ("labels", labels), ("basis", basis),
+                            ("outcomes", outcomes), ("_stack", stack)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def effects(self) -> np.ndarray:
+        """The effects as a read-only (K, D, D) stack; derived from the basis for a PVM."""
+        if self._stack is not None:
+            return self._stack
+        onehot = np.arange(len(self))[:, None] == self.outcomes
+        out = (self.basis * onehot[:, None, :]) @ self.basis.conj().T
+        out.flags.writeable = False
+        return out
 
     def __len__(self) -> int:
-        return self.effects.shape[0]
+        if self._stack is not None:
+            return self._stack.shape[0]
+        return int(self.outcomes.max()) + 1
 
     @property
     def dim(self) -> int:
-        return self.effects.shape[1]
+        return (self.basis if self._stack is None else self._stack).shape[-1]
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:
@@ -320,12 +396,8 @@ def mub_bases(d: int) -> list[MeasurementSet]:
     for k in range(d):
         columns.append(_unitary_eigenbasis(x @ np.linalg.matrix_power(z, k)))
 
-    sets = []
-    for v in columns:
-        effects = [np.outer(v[:, j], v[:, j].conj()) for j in range(d)]
-        sets.append(MeasurementSet(effects, MeasurementKind.PVM))
     _assert_unbiased(columns, d)
-    return sets
+    return [MeasurementSet.from_basis(v) for v in columns]
 
 
 def _assert_unbiased(columns: list[np.ndarray], d: int, tol: float = 1e-9) -> None:
@@ -424,12 +496,7 @@ def qubit_mub_bases(n: int, rng=12345) -> list[MeasurementSet]:
         else:
             raise InvalidInput("failed to split a commuting class into a basis")
     _assert_unbiased(columns, d)
-
-    sets = []
-    for v in columns:
-        effects = [np.outer(v[:, j], v[:, j].conj()) for j in range(d)]
-        sets.append(MeasurementSet(effects, MeasurementKind.PVM))
-    return sets
+    return [MeasurementSet.from_basis(v) for v in columns]
 
 
 def pauli_product_bases(n: int) -> list[MeasurementSet]:
@@ -443,12 +510,10 @@ def pauli_product_bases(n: int) -> list[MeasurementSet]:
         np.array([[s2, s2], [1j * s2, -1j * s2]], dtype=complex),  # y
         np.eye(2, dtype=complex),                                  # z
     ]
-    sets = []
-    for combo in np.ndindex(*(3,) * n):
-        v = kron(*(single[c] for c in combo))
-        effects = [np.outer(v[:, j], v[:, j].conj()) for j in range(2**n)]
-        sets.append(MeasurementSet(effects, MeasurementKind.PVM))
-    return sets
+    return [
+        MeasurementSet.from_basis(kron(*(single[c] for c in combo)))
+        for combo in np.ndindex(*(3,) * n)
+    ]
 
 
 def matrix_to_dict(m: np.ndarray) -> dict:

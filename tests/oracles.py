@@ -91,6 +91,21 @@ def impose_effects_sequential(rho, targets):
     return out
 
 
+def impose_pvm_projectors(rho, projectors, probs):
+    """One additive correction per dense projector, every gap read off the original state."""
+    rho = np.asarray(rho, dtype=complex)
+    out = rho.copy()
+    for p, proj in zip(probs, projectors):
+        tr_p2 = float(np.trace(proj @ proj).real)
+        out += (p - float(np.trace(rho @ proj).real)) / tr_p2 * proj
+    return out
+
+
+def born_probabilities_projectors(projectors, rho):
+    """Tr[rho P_k] for a dense (K, D, D) stack of projectors."""
+    return np.einsum("kij,ji->k", np.asarray(projectors), np.asarray(rho, dtype=complex)).real
+
+
 def compose_two_closed_form(rho, e1, p1, e2, p2):
     """Two-effect composition via the explicit cross-term formula."""
     rho = np.asarray(rho, dtype=complex)

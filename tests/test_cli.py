@@ -107,6 +107,11 @@ def test_qse_benchmark_small(tmp_path, outdir):
     assert result["trials"] == 4
     assert 0.9 < result["mean_fidelity"] <= 1.0
     assert result["seed"] == 5
+    # phase timings vary from run to run, so they stay out of result.json
+    info = read_json(os.path.join(outdir, "run_info.json"))
+    for key in ("protocol_seconds", "trials_seconds"):
+        assert info[key] >= 0.0
+        assert key not in result
 
 
 def test_qse_benchmark_seed_matters(tmp_path):
@@ -236,7 +241,8 @@ def test_qmp_sweep_threads_invariant(tmp_path):
 
 def test_reruns_are_byte_identical(tmp_path):
     for command, config in [("bell-lhv", "bell_lhv_chsh.json"),
-                            ("qmp-solve", "qmp_solve_pure3.json")]:
+                            ("qmp-solve", "qmp_solve_pure3.json"),
+                            ("qse-benchmark", "qse_benchmark_mub1.json")]:
         blobs = []
         for name in ("a", "b"):
             out = str(tmp_path / command / name)
@@ -278,6 +284,10 @@ def test_wrong_schema_exits_one(tmp_path, outdir):
         ("qse-estimate", {**mub1, "measurements": 3}),
         ("qse-estimate", {**mub1, "frequencies": None}),
         ("qse-estimate", {**mub1, "measurements": [{"effects": None}]}),
+        ("qse-benchmark", {"protocol": "mub", "qubits": 1, "trials": 1}),
+        ("qse-benchmark", {"protocol": "mub", "qubits": 1, "trials": 0}),
+        ("qse-benchmark", {"protocol": "mub", "qubitz": 1, "trials": 2}),
+        ("qmp-solve", {**pure3, "max_iteration": 10}),
     ]
     for i, (command, body) in enumerate(cases):
         config = tmp_path / f"wrong{i}.json"
@@ -286,6 +296,36 @@ def test_wrong_schema_exits_one(tmp_path, outdir):
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert len([ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]) == 1
+
+
+def test_unknown_config_key_is_named(tmp_path, outdir):
+    from click.testing import CliRunner
+
+    from qoptools import cli
+
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps({"bogus_key": 1}))
+    for command in SUBCOMMANDS:
+        res = CliRunner().invoke(cli.main, [command, "--config", str(config), "--out", outdir])
+        assert res.exit_code == 1
+        errors = [ln for ln in res.stderr.splitlines() if ln.startswith("error:")]
+        assert len(errors) == 1 and "'bogus_key'" in errors[0] and command in errors[0]
+
+
+def test_bundled_configs_use_known_keys():
+    from qoptools import cli
+
+    commands = {"bell_efficiency": "bell-efficiency", "bell_lhv": "bell-lhv",
+                "bell_optimize": "bell-optimize", "qmp_solve": "qmp-solve",
+                "qmp_sweep": "qmp-sweep", "qse_benchmark": "qse-benchmark",
+                "qse_estimate": "qse-estimate"}
+    checked = 0
+    for name in sorted(os.listdir(CONFIGS)):
+        command = next((c for prefix, c in commands.items() if name.startswith(prefix)), None)
+        if command is not None:
+            assert set(read_json(cfg(name))) <= cli._CONFIG_KEYS[command], name
+            checked += 1
+    assert checked == 10
 
 
 def test_progress_goes_to_stderr_not_stdout(outdir):

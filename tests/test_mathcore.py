@@ -208,6 +208,8 @@ def test_qubit_mub_bases_unbiased(n):
 def test_qubit_mub_bases_deterministic_default():
     a = qubit_mub_bases(2)
     b = qubit_mub_bases(2)
+    # sets compare by identity, without asking an array for its truth value
+    assert a[0] == a[0] and a[0] != b[0] and len({a[0], b[0]}) == 2
     for ma, mb in zip(a, b):
         for ea, eb in zip(ma.effects, mb.effects):
             assert np.abs(ea - eb).max() == 0.0
@@ -227,8 +229,18 @@ def test_pauli_product_bases_counts_and_orthonormality():
 def test_measurement_set_completeness_check():
     good = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     MeasurementSet(tuple(good))
-    with pytest.raises(InvalidInput):
-        MeasurementSet((np.diag([1.0, 0.0]), np.diag([0.0, 0.5])))
+    plus = np.full((2, 2), 0.5)
+    bad = [
+        lambda: MeasurementSet((np.diag([1.0, 0.0]), np.diag([0.0, 0.5]))),
+        lambda: MeasurementSet.from_basis([[1.0, 1.0], [0.0, 1.0]]),  # not unitary
+        lambda: MeasurementSet((np.eye(2) / 2, np.eye(2) / 2)),  # sums to I, not projectors
+        lambda: MeasurementSet((np.diag([1.0, 0.0]), plus)),  # overlapping projectors
+        lambda: MeasurementSet((np.eye(2), np.zeros((2, 2)))),  # zero projector
+        lambda: MeasurementSet.from_basis(np.eye(2), outcomes=[0, 2]),  # outcome 1 empty
+    ]
+    for build in bad:
+        with pytest.raises(InvalidInput):
+            build()
 
 
 def test_matrix_dict_round_trip():

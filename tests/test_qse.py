@@ -8,6 +8,8 @@ from qoptools.mathcore import (
     fidelity,
     hs_distance,
     mub_bases,
+    pauli_product_bases,
+    qubit_mub_bases,
     random_mixed_state,
     random_pure_state,
 )
@@ -109,6 +111,48 @@ def test_impose_pvm_equals_effectwise_updates_from_original():
         assert np.abs(swept - additive).max() < 1e-12
         got = [np.trace(swept @ e).real for e in basis.effects]
         assert np.abs(np.asarray(got) - probs).max() < 1e-12
+
+
+def _rank_two_pvms():
+    # two rank-2 projectors on C^4 in a random basis: given as effects, and as
+    # that basis with the outcomes of its columns interleaved
+    rng = np.random.default_rng(69)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    low = u[:, :2] @ u[:, :2].conj().T
+    projectors = [low, np.eye(4) - low]
+    interleaved = MeasurementSet.from_basis(u[:, [0, 2, 1, 3]], outcomes=[0, 1, 0, 1])
+    return [(MeasurementSet(projectors), projectors), (interleaved, projectors)]
+
+
+def _with_effects(sets):
+    return [(meas, meas.effects) for meas in sets]
+
+
+PVM_FAMILIES = {
+    "mub2": lambda: _with_effects(mub_bases(2)),
+    "mub3": lambda: _with_effects(mub_bases(3)),
+    "mub5": lambda: _with_effects(mub_bases(5)),
+    "qubit_mub1": lambda: _with_effects(qubit_mub_bases(1)),
+    "qubit_mub2": lambda: _with_effects(qubit_mub_bases(2)),
+    "qubit_mub3": lambda: _with_effects(qubit_mub_bases(3)),
+    "pauli1": lambda: _with_effects(pauli_product_bases(1)),
+    "pauli2": lambda: _with_effects(pauli_product_bases(2)),
+    "pauli3": lambda: _with_effects(pauli_product_bases(3)),
+    "rank_two": _rank_two_pvms,
+}
+
+
+@pytest.mark.parametrize("family", sorted(PVM_FAMILIES))
+def test_pvm_basis_path_matches_projector_oracle(family):
+    rng = np.random.default_rng(sorted(PVM_FAMILIES).index(family))
+    for meas, projectors in PVM_FAMILIES[family]():
+        rho = random_mixed_state(meas.dim, rng).matrix
+        probs = rng.dirichlet(np.ones(len(meas)))
+        got = impose_pvm(rho, meas, probs)
+        want = oracles.impose_pvm_projectors(rho, projectors, probs)
+        assert np.abs(got - want).max() < 1e-12
+        want_p = oracles.born_probabilities_projectors(projectors, rho)
+        assert np.abs(born_probabilities(rho, meas) - want_p).max() < 1e-12
 
 
 def test_impose_one_rejects_zero_effect():
@@ -277,6 +321,11 @@ def test_run_benchmark_smoke():
     assert out["mean_iterations"] == 2.0
     assert 0.9 < out["mean_fidelity"] <= 1.0
     assert out["std_error"] < 0.05
+    assert out["protocol_seconds"] >= 0.0 and out["trials_seconds"] >= 0.0
+    # one trial has no standard error, none has no mean
+    for trials in (1, 0):
+        with pytest.raises(InvalidInput):
+            run_benchmark(1, "mub", trials=trials, rng=9)
 
 
 def test_problem_from_dict_protocol_form():
