@@ -92,6 +92,8 @@ class BellInequality:
         object.__setattr__(self, "marg_a", ma)
         object.__setattr__(self, "marg_b", mb)
         if self.bound is not None:
+            if not math.isfinite(float(self.bound)):
+                raise InvalidInput("bound must be finite")
             object.__setattr__(self, "bound", float(self.bound))
 
     @classmethod
@@ -133,14 +135,6 @@ class BehaviorTable:
         """p_B(b|y), averaged over x."""
         return self.table.sum(axis=2).mean(axis=0)
 
-    def signaling_residual(self) -> float:
-        """Largest violation of the no-signaling equalities."""
-        pa = self.table.sum(axis=3)  # x, y, a
-        pb = self.table.sum(axis=2)  # x, y, b
-        ra = np.max(np.abs(pa - pa.mean(axis=1, keepdims=True)))
-        rb = np.max(np.abs(pb - pb.mean(axis=0, keepdims=True)))
-        return float(max(ra, rb))
-
 
 @dataclass(frozen=True)
 class CountsTable:
@@ -173,13 +167,6 @@ class CountsTable:
     def behavior(self) -> BehaviorTable:
         totals = self.counts.sum(axis=(2, 3), keepdims=True)
         return BehaviorTable(self.counts / totals)
-
-    @classmethod
-    def from_behavior(cls, behavior: BehaviorTable, per_setting: float) -> "CountsTable":
-        """Exact-statistics counts: probabilities scaled by a common total."""
-        if per_setting <= 0:
-            raise InvalidInput("per_setting total must be positive")
-        return cls(behavior.table * float(per_setting))
 
     @classmethod
     def sample(cls, behavior: BehaviorTable, mean_per_setting: float, rng) -> "CountsTable":
@@ -630,7 +617,6 @@ def no_signaling_fit(
     freq: BehaviorTable,
     weights=None,
     max_iters: int = 10_000,
-    tol: float = 1e-12,
 ) -> BehaviorTable:
     """Closest no-signaling behavior to raw frequencies, in weighted KL.
 
@@ -748,7 +734,7 @@ def counts_from_dict(obj: dict) -> CountsTable:
     try:
         m, d = int(obj["m"]), int(obj["d"])
         entries = obj["counts"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed counts file: {exc}") from exc
     return CountsTable(_keyed_table_to_array(entries, m, d, "counts"))
 
@@ -766,7 +752,7 @@ def behavior_from_dict(obj: dict) -> BehaviorTable:
     try:
         m, d = int(obj["m"]), int(obj["d"])
         entries = obj["behavior"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed behavior file: {exc}") from exc
     return BehaviorTable(_keyed_table_to_array(entries, m, d, "behavior"))
 
@@ -786,7 +772,7 @@ def inequality_from_dict(obj: dict) -> BellInequality:
         joint = np.asarray(obj["joint"], dtype=float)
         marg_a = np.asarray(obj["marg_a"], dtype=float)
         marg_b = np.asarray(obj["marg_b"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed inequality file: {exc}") from exc
     bound = obj.get("bound")
     return BellInequality(

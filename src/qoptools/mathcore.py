@@ -527,10 +527,12 @@ def matrix_from_dict(obj: dict) -> np.ndarray:
         dim = int(obj["dim"])
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed matrix object: {exc}") from None
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise InvalidInput("matrix entries do not match declared dim")
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise InvalidInput("matrix entries must be finite")
     return re + 1j * im
 
 

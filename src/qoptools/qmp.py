@@ -25,7 +25,7 @@ import itertools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
@@ -38,6 +38,7 @@ from .errors import (
 )
 from .mathcore import (
     QuantumState,
+    _as_matrix,
     as_rng,
     check_hermitian,
     eigh,
@@ -55,10 +56,6 @@ PSD_WITNESS_TOL = -1e-10
 # a warm top-r eigenstep is accepted when its Ritz residual ||X V - V diag(w)||_F
 # is at most this fraction of ||X||_F; otherwise the step falls back to eigh
 RITZ_RESIDUAL_TOL = 1e-12
-
-
-def _as_matrix(x) -> np.ndarray:
-    return x.matrix if isinstance(x, QuantumState) else np.asarray(x, dtype=complex)
 
 
 def _check_subset(subset, n_parties: int) -> tuple[int, ...]:
@@ -181,7 +178,8 @@ class MarginalSpec:
                 raise InvalidInput(
                     f"target for subset {sub} has dim {sigma.dim}, expected {d**len(sub)}"
                 )
-            clean.append((sub, sigma))
+            # exactly Hermitian targets keep every marginal sweep exactly Hermitian
+            clean.append((sub, QuantumState(hermitize(sigma.matrix), sigma.dims)))
         object.__setattr__(self, "n_parties", n)
         object.__setattr__(self, "local_dim", d)
         object.__setattr__(self, "targets", tuple(clean))
@@ -426,10 +424,12 @@ def _iterate(spec, constraint, accuracy, max_iterations, seed_mat, sweep):
 
     `sweep` maps the current iterate to the post-imposition matrix; the
     plain solver passes impose_all and the accelerated one a damped
-    stepper.  In rank mode with rank < dim - 1, every step after the
-    first asks _top_eigenpairs for the top r pairs, warm-started from the
-    previous iterate's vectors, and falls back to a full eigh when that
-    answer is rejected.  The spectral distance is then
+    stepper.  Its output is exactly Hermitian because the iterate and
+    the targets are, so it goes to the eigensolvers as is.  In rank mode
+    with rank < dim - 1, every step after the first asks _top_eigenpairs
+    for the top r pairs, warm-started from the previous iterate's
+    vectors, and falls back to a full eigh when that answer is rejected.
+    The spectral distance is then
         dl^2 = sum_{i<r} (w_i - l_i)^2 + ||X - V diag(w) V^dag||_F^2,
     the tail taken as that residual norm directly: ||X||_F^2 - sum w_i^2
     cancels and cannot resolve dl below about sqrt(eps).
@@ -438,8 +438,8 @@ def _iterate(spec, constraint, accuracy, max_iterations, seed_mat, sweep):
     the iterate stops being usable, both with the last good iterate and
     the trajectory so far attached as `result`.
     """
-    if accuracy <= 0:
-        raise InvalidInput("accuracy must be positive")
+    if not (math.isfinite(accuracy) and accuracy > 0):
+        raise InvalidInput("accuracy must be a positive finite number")
     t0 = time.perf_counter()
     traj = _Trajectory()
     counts = {"warm_eigensteps": 0, "eigh_fallbacks": 0}
@@ -455,7 +455,7 @@ def _iterate(spec, constraint, accuracy, max_iterations, seed_mat, sweep):
 
     try:
         for n in range(1, int(max_iterations) + 1):
-            xp = hermitize(sweep(x))
+            xp = sweep(x)
             if not np.all(np.isfinite(xp)):
                 raise DegenerateIterate(
                     f"iterate diverged to non-finite values at step {n}; "
@@ -532,6 +532,8 @@ class HalpernSchedule:
     beta_scale: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise InvalidInput("schedule entries must be finite numbers")
         if self.alpha <= 0:
             raise InvalidInput("alpha must be positive")
         if not 0 < self.mu <= 1:
@@ -602,7 +604,7 @@ def _npm_trial(n_parties, k, local_dim, m, generator, rng) -> bool:
     if len(spec) == 0:
         return True
     out = impose_all(np.eye(dim, dtype=complex) / dim, spec)
-    return float(np.linalg.eigvalsh(hermitize(out))[0]) >= PSD_WITNESS_TOL
+    return float(np.linalg.eigvalsh(out)[0]) >= PSD_WITNESS_TOL
 
 
 def npm_sweep(
@@ -670,7 +672,7 @@ def problem_from_dict(obj: dict, base_dir=None) -> tuple[MarginalSpec, SpectralC
             constraint = SpectralConstraint.with_spectrum(raw_constraint["spectra"])
         else:
             raise InvalidInput("constraint must carry 'rank' or 'spectra'")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed problem description: {exc}") from exc
     targets = []
     for subset, state in raw_targets:

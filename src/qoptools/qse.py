@@ -100,6 +100,8 @@ class EstimationProblem:
         for a, f in zip(meas, freqs):
             if f.shape != (len(a),):
                 raise InvalidInput("frequency vector length does not match effect count")
+            if not np.all(np.isfinite(f)):
+                raise InvalidInput("frequencies must be finite")
             if a.kind is MeasurementKind.OBSERVABLE_BASIS:
                 if np.any(np.abs(f) > 1 + 1e-12):
                     raise InvalidInput("expectation targets must lie in [-1, 1]")
@@ -247,7 +249,6 @@ def simulate_frequencies(
     measurements: Sequence[MeasurementSet],
     noise: NoiseModel,
     rng,
-    multinomial: bool = False,
 ) -> list[np.ndarray]:
     """Per-measurement outcome frequencies of the noisy state.
 
@@ -275,11 +276,7 @@ def simulate_frequencies(
         if noise.samples_per_basis is None:
             out.append(probs)
             continue
-        n = noise.samples_per_basis
-        if multinomial:
-            counts = rng.multinomial(n, probs / probs.sum()).astype(float)
-        else:
-            counts = rng.poisson(n * probs).astype(float)
+        counts = rng.poisson(noise.samples_per_basis * probs).astype(float)
         total = counts.sum()
         if total == 0:  # astronomically unlikely at sensible n, but keep it finite
             out.append(np.full(len(meas), 1.0 / len(meas)))
@@ -411,7 +408,7 @@ def estimation_problem_from_dict(obj: dict, base_dir=None):
             raw_sets = [(entry.get("kind", "pvm"), list(entry["effects"])) for entry in raw_meas]
         accuracy = float(obj.get("epsilon", 1e-10))
         max_iterations = int(obj.get("max_iters", 10_000))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed problem file: {exc}") from exc
     if isinstance(raw_meas, dict):
         measurements = measurement_protocol(qubits, protocol)

@@ -270,6 +270,7 @@ def test_malformed_json_exits_one(tmp_path, outdir):
 def test_wrong_schema_exits_one(tmp_path, outdir):
     pure3 = read_json(cfg("qmp_solve_pure3.json"))
     mub1 = read_json(cfg("qse_estimate_mub1.json"))
+    chsh = read_json(cfg("chsh.json"))
     sweep = {"N": 4, "k": 2, "d": 2, "trials": 2}
     cases = [
         ("bell-lhv", {"m": 2}),  # no usable inequality payload
@@ -288,6 +289,14 @@ def test_wrong_schema_exits_one(tmp_path, outdir):
         ("qse-benchmark", {"protocol": "mub", "qubits": 1, "trials": 0}),
         ("qse-benchmark", {"protocol": "mub", "qubitz": 1, "trials": 2}),
         ("qmp-solve", {**pure3, "max_iteration": 10}),
+        ("qmp-solve", {**pure3, "accuracy": float("nan")}),  # json writes NaN
+        ("qmp-solve", {**pure3, "schedule": {"alpha": float("nan")}}),
+        ("qmp-solve", {**pure3, "schedule": {"exponent": float("inf")}}),  # Infinity
+        ("qmp-solve", {**pure3, "N": float("inf")}),
+        ("qse-estimate", {**mub1, "max_iters": float("inf")}),
+        ("qse-estimate", {**mub1, "frequencies": [[float("nan"), 1.0]] + mub1["frequencies"][1:]}),
+        ("bell-lhv", {"inequality": {**chsh, "m": float("inf")}}),
+        ("bell-lhv", {"inequality": {**chsh, "bound": float("nan")}}),
     ]
     for i, (command, body) in enumerate(cases):
         config = tmp_path / f"wrong{i}.json"
@@ -310,6 +319,22 @@ def test_unknown_config_key_is_named(tmp_path, outdir):
         assert res.exit_code == 1
         errors = [ln for ln in res.stderr.splitlines() if ln.startswith("error:")]
         assert len(errors) == 1 and "'bogus_key'" in errors[0] and command in errors[0]
+
+
+def test_every_subcommand_has_the_common_options_and_its_docstring_as_help():
+    from click.testing import CliRunner
+
+    from qoptools import cli
+
+    for command in SUBCOMMANDS:
+        res = CliRunner().invoke(cli.main, [command, "--help"])
+        assert res.exit_code == 0, res.output
+        lines = res.output.splitlines()
+        options = [ln.split()[0] for ln in lines if ln.startswith("  --")]
+        assert options == ["--config", "--out", "--seed", "--threads", "--help"], command
+        body = getattr(cli, command.replace("-", "_"))
+        assert lines[2].strip() == body.__doc__, command
+        assert command in cli._CONFIG_KEYS
 
 
 def test_bundled_configs_use_known_keys():

@@ -250,6 +250,11 @@ def test_matrix_dict_round_trip():
     assert np.abs(back - m).max() == 0.0
     with pytest.raises(InvalidInput):
         matrix_from_dict({"dim": 2, "re": [[1, 0]], "im": [[0, 0]]})
+    for bad in ({"dim": 1, "re": [[np.nan]], "im": [[0]]},
+                {"dim": 1, "re": [[1]], "im": [[np.inf]]},
+                {"dim": np.inf, "re": [[1]], "im": [[0]]}):
+        with pytest.raises(InvalidInput):
+            matrix_from_dict(bad)
 
 
 def test_as_rng_accepts_seed_and_generator():

@@ -428,6 +428,47 @@ def test_halpern_schedule_validation_and_coefficients():
         HalpernSchedule(beta_scale=1.5)
     with pytest.raises(InvalidInput):
         HalpernSchedule(exponent=-1.0)
+    for field in ("alpha", "mu", "exponent", "beta_scale"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidInput):
+                HalpernSchedule(**{field: bad})
+
+
+def test_solvers_reject_non_finite_accuracy():
+    spec, con = ame_spec(3, 2), SpectralConstraint.with_rank(1)
+    for bad in (np.nan, np.inf, 0.0):
+        with pytest.raises(InvalidInput):
+            solve(spec, con, accuracy=bad, max_iterations=5, rng=0)
+        with pytest.raises(InvalidInput):
+            solve_accelerated(spec, con, accuracy=bad, max_iterations=5, rng=0)
+
+
+@pytest.mark.parametrize("damped", [False, True])
+def test_swept_iterate_is_exactly_hermitian(monkeypatch, damped):
+    # targets within 1e-12 of Hermitian are stored symmetrized, so every
+    # sweep hands the eigensolver an exactly Hermitian matrix
+    rng = np.random.default_rng(126)
+    gen = random_mixed_state((2, 2, 2), rng)
+    noise = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    targets = [(sub, partial_trace(gen, sub).matrix + 1e-13 * (noise - noise.conj().T))
+               for sub in itertools.combinations(range(3), 2)]
+    spec = MarginalSpec(3, 2, targets)
+    swept = []
+    real_eigh = qmp.eigh
+
+    def recording_eigh(m):
+        swept.append(np.array_equal(m, m.conj().T))
+        return real_eigh(m)
+
+    monkeypatch.setattr(qmp, "eigh", recording_eigh)
+    con = SpectralConstraint.with_spectrum(np.sort(np.linalg.eigvalsh(gen.matrix))[::-1])
+    with pytest.raises(NotConverged):
+        if damped:
+            solve_accelerated(spec, con, HalpernSchedule(mu=0.1), accuracy=1e-14,
+                              max_iterations=5, rng=0)
+        else:
+            solve(spec, con, accuracy=1e-14, max_iterations=5, rng=0)
+    assert swept == [True] * 5
 
 
 def test_accelerated_reduction_matches_plain_solver():
