@@ -28,9 +28,11 @@ if __name__ == "__main__":
     print(f"  measured Q = {q:.4f} +- {dq:.4f}")
     print(f"  ratio (Q - dQ)/C = {(q - dq) / classical:.6f}")
 
-    best = bell.maximize_gap(counts, trials=20, rng=7)
+    best = bell.maximize_gap(counts)
     print("optimizer on the same counts:")
     print(f"  R = {best.ratio:.6f}  (Q = {best.quantum:.4f}, C = {best.classical:.4f})")
+    print(f"  no inequality in the box beats R by more than {best.upper_bound - best.ratio:.1e}"
+          f" ({best.rounds} linear programs)")
     print("  " + bell.format_inequality(best.inequality))
 
     # maximally entangled reference point

@@ -6,6 +6,13 @@ maximization over the coefficient box, outcome-0 canonical forms and
 detection-efficiency thresholds, plus a KL fit onto the no-signaling
 polytope for raw (possibly signaling) frequency tables.
 
+The gap ratio is concave over affine in the coefficients, so after the
+Charnes-Cooper substitution its maximization is a linear program (one
+row per deterministic strategy, the box) plus one Euclidean norm, the
+Poisson error.  `maximize_gap` solves it with HiGHS, replacing the norm
+by cutting planes added where each LP lands (Kelley); every LP value
+bounds the global maximum from above, which certifies the result.
+
 Conventions: settings x, y and outcomes a, b are 0-based; marginal
 probabilities are always the average over the other party's settings,
 p_A(a|x) = m^-1 sum_y sum_b p(ab|xy).  An inequality value is
@@ -19,11 +26,12 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog
 
 from .errors import (
     InvalidInput,
     NotViolatedAtAnyEfficiency,
+    QopError,
     TooLargeScenario,
     UnsupportedOutcomes,
 )
@@ -31,6 +39,8 @@ from .mathcore import MeasurementSet, QuantumState, as_rng, kron
 
 ENUMERATION_GUARD = 10**8
 OPTIMIZER_STRATEGY_GUARD = 2 * 10**5  # dense strategy matrix rows the optimizer tolerates
+GAP_TOL = 1e-9  # certificate gap (LP bound minus exact ratio) at which the gap search stops
+GAP_ROUND_CAP = 200  # linear programs the gap search solves at most
 
 
 @dataclass(frozen=True)
@@ -302,6 +312,8 @@ class GapResult(NamedTuple):
     quantum: float
     error: float
     classical: float
+    upper_bound: float  # no coefficients in the box reach a higher ratio
+    rounds: int  # linear programs solved
 
 
 def _gap_pieces(counts: CountsTable):
@@ -332,78 +344,90 @@ def _strategy_matrix(scenario: BellScenario) -> np.ndarray:
 
 
 def maximize_gap(counts: CountsTable, trials: int = 20, rng=None) -> GapResult:
-    """Search the coefficient box [-1, 1] for the largest certification ratio.
+    """Find the coefficients in the box [-1, 1] with the largest certification ratio.
 
-    The objective is R(s) = (Q - dQ + dm) / (C + dm) with dm = d * m and
-    C the LHV value of s.  C is a max over finitely many linear
-    functions, so it enters through an epigraph variable t >= v_k . s
-    (one constraint per deterministic strategy); the ratio is smooth in
-    (s, t) and SLSQP handles it directly.  Feasibility also demands
-    C >= 0: the ratio's certification reading rescales inequalities to
-    a positive LHV value, and without the sign constraint the literal
-    objective diverges toward C = -dm with degenerate output.  Restarts
-    follow the averaging schedule: the next start is the midpoint of
-    the previous start and its solution, best feasible candidate wins.
-    On exact local data Q(s) <= C(s) for every s, so the result never
-    exceeds 1; genuinely nonlocal data admits R > 1.
+    The ratio is R(s) = (Q - dQ + dm) / (C + dm) with dm = d * m,
+    Q = q . s the value on the counts, dQ = |G s| its Poisson error and
+    C >= 0 the LHV value of s (the ratio's certification reading rescales
+    inequalities to a positive LHV value; without the sign constraint the
+    literal objective diverges toward C = -dm).  C is a max over the
+    deterministic strategies v_k, so it enters through a bound t >= v_k . s,
+    and the substitution y = tau s, tau = 1 / (t + dm) (Charnes and
+    Cooper) turns the ratio into the convex program
+
+        max q . y - |G y| + dm tau   subject to   v_k . y + dm tau <= 1,
+                                                  -tau <= y_i <= tau,
+                                                  0 <= tau <= 1 / dm.
+
+    The norm is replaced by an epigraph variable r >= |G y| which only
+    sees cutting planes r >= w . G y, w = G y / |G y| at the points the
+    linear programs visit (Kelley).  Every cut underestimates the norm,
+    so each LP value bounds the global maximum from above; each LP
+    solution s = clip(y / tau) is scored exactly, and the search stops
+    once no cut is violated or the LP value is within GAP_TOL of the best
+    exact ratio, or after GAP_ROUND_CAP rounds.  The returned
+    upper_bound is the last LP value: upper_bound - ratio certifies how
+    far the result can be from the global maximum.
+
+    A candidate counts only if its exact LHV value is >= -1e-9 and its
+    ratio beats 1; otherwise the zero inequality (R = 1) is returned.
+    On exact local data Q(s) <= C(s) for every s, so the ratio never
+    exceeds 1; genuinely nonlocal data admits R > 1.  The program is
+    convex and solved to its global maximum, so trials (still checked
+    to be >= 1) and rng do not affect the result.
     """
-    trials = int(trials)
-    if trials < 1:
-        raise InvalidInput("need at least one restart")
+    if int(trials) < 1:
+        raise InvalidInput("trials must be at least 1")
     sc = counts.scenario
     dm = float(sc.outcomes * sc.settings)
     q_vec, g = _gap_pieces(counts)
     n = q_vec.size
     strategies = _strategy_matrix(sc)
-    # rows of A z >= 0 encode t - v_k . s >= 0 for z = (s, t)
-    a_mat = np.hstack([-strategies, np.ones((strategies.shape[0], 1))])
-    rng = as_rng(rng)
+    # variables z = (y, tau, r); linprog minimizes, so the objective is negated
+    cost = np.concatenate([-q_vec, [-dm, 1.0]])
+    eye = np.eye(n)
+    fixed_rows = np.block([
+        [strategies, np.full((len(strategies), 1), dm), np.zeros((len(strategies), 1))],
+        [eye, -np.ones((n, 1)), np.zeros((n, 1))],
+        [-eye, -np.ones((n, 1)), np.zeros((n, 1))],
+    ])
+    fixed_rhs = np.concatenate([np.ones(len(strategies)), np.zeros(2 * n)])
+    bounds = [(None, None)] * n + [(0.0, 1.0 / dm), (0.0, None)]
 
-    def neg_objective(z):
-        s, t = z[:n], z[n]
-        q = float(q_vec @ s)
-        gs = g @ s
-        dq = float(np.linalg.norm(gs))
-        grad_dq = (g.T @ gs) / dq if dq > 1e-30 else np.zeros(n)
-        den = t + dm
-        num = q - dq + dm
-        grad = np.concatenate([(q_vec - grad_dq) / den, [-num / den**2]])
-        return -num / den, -grad
-
-    constraints = [{"type": "ineq", "fun": lambda z: a_mat @ z, "jac": lambda z: a_mat}]
-    bounds = [(-1.0, 1.0)] * n + [(0.0, float(n))]
-
-    best = (-math.inf, None)
-    start = rng.uniform(-1.0, 1.0, size=n)
-    for _ in range(trials):
-        t0 = max(float(np.max(strategies @ start)), 0.0)
-        res = minimize(
-            neg_objective,
-            np.concatenate([start, [t0]]),
-            jac=True,
-            method="SLSQP",
+    cuts = np.empty((0, n + 2))
+    best = (1.0, np.zeros(n))
+    for rounds in range(1, GAP_ROUND_CAP + 1):
+        res = linprog(
+            cost,
+            A_ub=np.vstack([fixed_rows, cuts]),
+            b_ub=np.concatenate([fixed_rhs, np.zeros(len(cuts))]),
             bounds=bounds,
-            constraints=constraints,
-            options={"maxiter": 400, "ftol": 1e-12},
+            method="highs",
+            # at HiGHS's default 1e-7 an LP point may violate its own cut by
+            # more than GAP_TOL, and the same cut then comes back every round
+            options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
         )
-        sol = np.clip(res.x[:n], -1.0, 1.0)
-        q = float(q_vec @ sol)
-        dq = float(np.linalg.norm(g @ sol))
+        if res.status != 0:
+            raise QopError(f"gap search LP failed: {res.message}")
+        y, tau, r = res.x[:n], res.x[n], res.x[n + 1]
+        upper = -float(res.fun)
+        sol = np.clip(y / tau, -1.0, 1.0)
         c = lhv_bound(_unstack_coefficients(sol, sc))
         if c >= -1e-9:  # feasible candidates only
-            value = (q - dq + dm) / (c + dm)
+            value = (float(q_vec @ sol) - float(np.linalg.norm(g @ sol)) + dm) / (c + dm)
             if value > best[0]:
                 best = (value, sol)
-        start = 0.5 * (start + sol)
-    if best[1] is None:
-        # fall back to the zero inequality: R = dm / dm = 1
-        best = (1.0, np.zeros(n))
+        gy = g @ y
+        norm = float(np.linalg.norm(gy))
+        if norm - r <= GAP_TOL or upper - best[0] <= GAP_TOL:
+            break
+        cuts = np.vstack([cuts, np.concatenate([gy @ g / norm, [0.0, -1.0]])])
     ratio, sol = best
     ineq = _unstack_coefficients(sol, sc)
     c_final = lhv_bound(ineq)
     ineq = BellInequality(ineq.joint, ineq.marg_a, ineq.marg_b, sc, bound=c_final)
     q, dq = quantum_value(ineq, counts)
-    return GapResult(ineq, float(ratio), q, dq, c_final)
+    return GapResult(ineq, float(ratio), q, dq, c_final, upper, rounds)
 
 
 class TiltedFamily(NamedTuple):

@@ -79,6 +79,14 @@ def _number(cfg, key: str, kind, default=_REQUIRED):
     raise QopError(f"config entry {key!r} must be a finite number, got {json.dumps(raw)}")
 
 
+def _flag(cfg, key: str, default: bool) -> bool:
+    """Config entry that must be JSON true or false when present."""
+    raw = cfg.get(key, default)
+    if isinstance(raw, bool):
+        return raw
+    raise QopError(f"config entry {key!r} must be true or false, got {json.dumps(raw)}")
+
+
 def _integers(cfg, key: str, count=None) -> list[int]:
     """Config entry that must be a list of integers, of count entries when given."""
     raw = cfg.get(key)
@@ -185,6 +193,7 @@ def _command(name: str, keys):
                            "dump_state"})
 def qse_estimate(cfg, run):
     """Reconstruct a state from measured frequencies."""
+    dump_state = _flag(cfg, "dump_state", True)
     problem, reference = qse.estimation_problem_from_dict(cfg, base_dir=run.base_dir)
     res = qse.estimate(problem)
     result = {
@@ -193,7 +202,7 @@ def qse_estimate(cfg, run):
         "residual": res.residual,
         "fidelity": None if reference is None else fidelity(res.state, reference),
     }
-    if cfg.get("dump_state", True):
+    if dump_state:
         result["state"] = matrix_to_dict(res.state.matrix)
     return (EXIT_OK if res.converged else EXIT_NOT_CONVERGED), result, {}
 
@@ -247,7 +256,21 @@ def bell_optimize(cfg, run):
         "inequality": bell.inequality_to_dict(res.inequality),
         "printed": printed,
     }
-    return EXIT_OK, result, {}
+    ineq = res.inequality
+    search = {
+        "lp_rounds": res.rounds,
+        "norm_cuts": res.rounds - 1,
+        "upper_bound": res.upper_bound,
+        "certificate_gap": res.upper_bound - res.ratio,
+        "round_cap_hit": res.rounds == bell.GAP_ROUND_CAP,
+        "zero_inequality": not (ineq.joint.any() or ineq.marg_a.any() or ineq.marg_b.any()),
+    }
+    if search["round_cap_hit"]:
+        click.echo(f"gap search ran all {bell.GAP_ROUND_CAP} LP rounds; "
+                   f"certificate gap {search['certificate_gap']:.3g}", err=True)
+    if search["zero_inequality"]:
+        click.echo("no inequality beats ratio 1; returning the zero inequality", err=True)
+    return EXIT_OK, result, search
 
 
 @_command("bell-efficiency", {"inequality", "behavior", "counts", "mode"})
@@ -273,12 +296,13 @@ def bell_efficiency(cfg, run):
                         "identity_seed", "schedule", "dump_state"})
 def qmp_solve(cfg, run):
     """Find a global state with prescribed marginals and spectrum."""
+    dump_state = _flag(cfg, "dump_state", True)
     spec, constraint = qmp.problem_from_dict(cfg, base_dir=run.base_dir)
     kwargs = dict(
         accuracy=_number(cfg, "accuracy", float, 1e-6),
         max_iterations=_number(cfg, "max_iterations", int, 50000),
         rng=run.seed,
-        identity_seed=bool(cfg.get("identity_seed", False)),
+        identity_seed=_flag(cfg, "identity_seed", False),
     )
     code = EXIT_OK
     degenerate = None
@@ -318,7 +342,7 @@ def qmp_solve(cfg, run):
             "total_dist": [float(v) for v in report.total_dist],
         },
     }
-    if cfg.get("dump_state", True):
+    if dump_state:
         result["state"] = matrix_to_dict(state.matrix)
     click.echo(f"{report.total_dist[-1]:.3e}")
     return code, result, {

@@ -284,3 +284,71 @@ def reference_marginal_solve(x0, spec, constraint, steps, impose_all, impose_spe
         dm = math.sqrt(sum(errs) / len(errs))
         out.append((dm, dl, x))
     return out
+
+
+def maximize_gap_slsqp(counts, trials=20, rng=None):
+    """The gap-ratio search by SLSQP restarts over an epigraph variable.
+
+    C(s) enters through t >= v_k . s, one constraint per deterministic
+    strategy, with t >= 0; the ratio (Q - dQ + dm) / (t + dm) is smooth
+    in (s, t).  The next start is the midpoint of the previous start and
+    its solution, and the best candidate with C >= -1e-9 wins.  Returns
+    (ratio, coefficients), (1, 0) when no candidate is feasible.
+    """
+    from scipy.optimize import minimize
+
+    from qoptools.bell import (
+        _gap_pieces,
+        _strategy_matrix,
+        _unstack_coefficients,
+        lhv_bound,
+    )
+
+    sc = counts.scenario
+    dm = float(sc.outcomes * sc.settings)
+    q_vec, g = _gap_pieces(counts)
+    n = q_vec.size
+    strategies = _strategy_matrix(sc)
+    # rows of A z >= 0 encode t - v_k . s >= 0 for z = (s, t)
+    a_mat = np.hstack([-strategies, np.ones((strategies.shape[0], 1))])
+    rng = np.random.default_rng(rng)
+
+    def neg_objective(z):
+        s, t = z[:n], z[n]
+        q = float(q_vec @ s)
+        gs = g @ s
+        dq = float(np.linalg.norm(gs))
+        grad_dq = (g.T @ gs) / dq if dq > 1e-30 else np.zeros(n)
+        den = t + dm
+        num = q - dq + dm
+        grad = np.concatenate([(q_vec - grad_dq) / den, [-num / den**2]])
+        return -num / den, -grad
+
+    constraints = [{"type": "ineq", "fun": lambda z: a_mat @ z, "jac": lambda z: a_mat}]
+    bounds = [(-1.0, 1.0)] * n + [(0.0, float(n))]
+
+    best = (-math.inf, None)
+    start = rng.uniform(-1.0, 1.0, size=n)
+    for _ in range(trials):
+        t0 = max(float(np.max(strategies @ start)), 0.0)
+        res = minimize(
+            neg_objective,
+            np.concatenate([start, [t0]]),
+            jac=True,
+            method="SLSQP",
+            bounds=bounds,
+            constraints=constraints,
+            options={"maxiter": 400, "ftol": 1e-12},
+        )
+        sol = np.clip(res.x[:n], -1.0, 1.0)
+        q = float(q_vec @ sol)
+        dq = float(np.linalg.norm(g @ sol))
+        c = lhv_bound(_unstack_coefficients(sol, sc))
+        if c >= -1e-9:
+            value = (q - dq + dm) / (c + dm)
+            if value > best[0]:
+                best = (value, sol)
+        start = 0.5 * (start + sol)
+    if best[1] is None:
+        return 1.0, np.zeros(n)
+    return best

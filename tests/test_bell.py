@@ -1,6 +1,8 @@
 """Bell functionals: bounds, gap search, the tilted family, fits."""
 import itertools
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from qoptools.errors import (
     NotViolatedAtAnyEfficiency,
     TooLargeScenario,
 )
+from qoptools import bell
 from qoptools.bell import (
     _gap_pieces,
     _strategy_matrix,
@@ -36,6 +39,7 @@ from qoptools.bell import (
     quantum_value,
     tilted_inequality,
 )
+from qoptools.mathcore import MeasurementSet, QuantumState
 
 import oracles
 
@@ -297,6 +301,64 @@ def test_maximize_gap_reproducible():
     b = maximize_gap(counts, trials=4, rng=11)
     assert a.ratio == b.ratio
     assert np.abs(a.inequality.joint - b.inequality.joint).max() == 0.0
+
+
+def _random_basis_counts(m, d, per_setting, rng):
+    """Poisson counts of a maximally entangled pair measured in random bases."""
+
+    def basis():
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        u, _ = np.linalg.qr(z)
+        return MeasurementSet([np.outer(u[:, k], u[:, k].conj()) for k in range(d)])
+
+    psi = np.eye(d).ravel() / math.sqrt(d)
+    state = QuantumState(np.outer(psi, psi), (d, d))
+    beh = behavior_from_state(state, [basis() for _ in range(m)], [basis() for _ in range(m)])
+    return CountsTable.sample(beh, per_setting, rng)
+
+
+@pytest.mark.parametrize("m,d", [(2, 2), (3, 2), (2, 3), (4, 2)])
+def test_maximize_gap_reaches_slsqp_oracle_and_certifies(m, d):
+    counts = _random_basis_counts(m, d, 1e6, np.random.default_rng(10 * m + d))
+    res = maximize_gap(counts)
+    oracle_ratio, _ = oracles.maximize_gap_slsqp(counts, trials=2, rng=0)
+    q, dq = quantum_value(res.inequality, counts)
+    c = lhv_bound(res.inequality)
+    dm = float(m * d)
+    ratio = (q - dq + dm) / (c + dm)
+    assert abs(res.ratio - ratio) < 1e-9
+    assert abs(res.classical - c) < 1e-9
+    assert c >= -1e-9
+    assert ratio >= oracle_ratio - 1e-9
+    assert -1e-9 <= res.upper_bound - ratio <= 1e-8
+    assert 1 <= res.rounds <= bell.GAP_ROUND_CAP
+
+
+def test_maximize_gap_bundled_chsh_counts_ratio():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "chsh_counts.json")
+    with open(path) as fh:
+        counts = counts_from_dict(json.load(fh))
+    res = maximize_gap(counts)
+    assert abs(res.ratio - 1.2067532277959543) <= 1e-9
+
+
+def test_maximize_gap_round_cap_keeps_a_valid_bound(monkeypatch):
+    counts = _random_basis_counts(3, 2, 1e6, np.random.default_rng(32))
+    full = maximize_gap(counts)
+    assert full.rounds > 2
+    monkeypatch.setattr(bell, "GAP_ROUND_CAP", 2)
+    capped = maximize_gap(counts)
+    assert capped.rounds == 2
+    # fewer cuts give a looser bound, still above the best ratio found
+    assert capped.upper_bound >= full.upper_bound - 1e-9
+    assert capped.upper_bound >= full.ratio - 1e-9
+    assert capped.ratio <= full.ratio + 1e-9
+
+
+def test_maximize_gap_rejects_no_restarts():
+    counts = CountsTable(np.ones((2, 2, 2, 2)))
+    with pytest.raises(InvalidInput):
+        maximize_gap(counts, trials=0)
 
 
 def test_kl_divergence_basics():

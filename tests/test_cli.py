@@ -97,6 +97,15 @@ def test_qse_estimate_roundtrip(outdir):
     assert "state" in result
 
 
+def test_dump_state_false_leaves_the_state_out(tmp_path, outdir):
+    config = tmp_path / "est.json"
+    config.write_text(json.dumps(
+        {**read_json(cfg("qse_estimate_mub1.json")), "dump_state": False}))
+    proc = run_cli("qse-estimate", "--config", str(config), "--out", outdir)
+    assert proc.returncode == 0, proc.stderr
+    assert "state" not in read_json(os.path.join(outdir, "result.json"))
+
+
 def test_qse_benchmark_small(tmp_path, outdir):
     config = tmp_path / "bench.json"
     config.write_text(json.dumps(
@@ -138,7 +147,30 @@ def test_bell_optimize_small(tmp_path, outdir):
     result = read_json(os.path.join(outdir, "result.json"))
     assert result["ratio"] > 1.0
     assert result["quantum"] > result["classical"]
-    assert "inequality" in result
+    assert set(result) == {"ratio", "quantum", "error", "classical", "inequality", "printed",
+                           "command", "seed"}
+    # what the search did goes to the sidecar only
+    info = read_json(os.path.join(outdir, "run_info.json"))
+    assert info["lp_rounds"] >= 1
+    assert info["norm_cuts"] == info["lp_rounds"] - 1
+    assert abs(info["upper_bound"] - info["certificate_gap"] - result["ratio"]) < 1e-12
+    assert -1e-9 <= info["certificate_gap"] <= 1e-8
+    assert info["round_cap_hit"] is False
+    assert info["zero_inequality"] is False
+    assert "zero inequality" not in proc.stderr
+
+
+def test_bell_optimize_reports_the_zero_inequality(tmp_path, outdir):
+    # one deterministic strategy: no inequality beats its LHV bound
+    counts = {"m": 2, "d": 2, "counts": {f"{x},{y}": [[1000, 0], [0, 0]]
+                                         for x in range(2) for y in range(2)}}
+    config = tmp_path / "opt.json"
+    config.write_text(json.dumps({"counts": counts}))
+    proc = run_cli("bell-optimize", "--config", str(config), "--out", outdir)
+    assert proc.returncode == 0, proc.stderr
+    assert read_json(os.path.join(outdir, "result.json"))["ratio"] == 1.0
+    assert read_json(os.path.join(outdir, "run_info.json"))["zero_inequality"] is True
+    assert "zero inequality" in proc.stderr
 
 
 def test_bell_efficiency(outdir):
@@ -241,6 +273,7 @@ def test_qmp_sweep_threads_invariant(tmp_path):
 
 def test_reruns_are_byte_identical(tmp_path):
     for command, config in [("bell-lhv", "bell_lhv_chsh.json"),
+                            ("bell-optimize", "bell_optimize_chsh.json"),
                             ("qmp-solve", "qmp_solve_pure3.json"),
                             ("qse-benchmark", "qse_benchmark_mub1.json")]:
         blobs = []
@@ -297,6 +330,8 @@ def test_wrong_schema_exits_one(tmp_path, outdir):
         ("qse-estimate", {**mub1, "frequencies": [[float("nan"), 1.0]] + mub1["frequencies"][1:]}),
         ("bell-lhv", {"inequality": {**chsh, "m": float("inf")}}),
         ("bell-lhv", {"inequality": {**chsh, "bound": float("nan")}}),
+        ("qse-estimate", {**mub1, "dump_state": "no"}),
+        ("qmp-solve", {**pure3, "identity_seed": "false"}),
     ]
     for i, (command, body) in enumerate(cases):
         config = tmp_path / f"wrong{i}.json"
