@@ -13,6 +13,11 @@ Poisson error.  `maximize_gap` solves it with HiGHS, replacing the norm
 by cutting planes added where each LP lands (Kelley); every LP value
 bounds the global maximum from above, which certifies the result.
 
+The KL fit is convex too: the no-signaling tables are an affine set
+u + N theta (N a basis of the equalities' null space) cut by p >= 0.
+`no_signaling_fit` puts p >= 0 into a log barrier and solves it by
+Newton steps, to a duality gap of 1e-9 nats, or raises QopError.
+
 Conventions: settings x, y and outcomes a, b are 0-based; marginal
 probabilities are always the average over the other party's settings,
 p_A(a|x) = m^-1 sum_y sum_b p(ab|xy).  An inequality value is
@@ -26,7 +31,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.linalg import null_space
 from scipy.optimize import linprog
+from scipy.special import xlogy
 
 from .errors import (
     InvalidInput,
@@ -41,6 +48,8 @@ ENUMERATION_GUARD = 10**8
 OPTIMIZER_STRATEGY_GUARD = 2 * 10**5  # dense strategy matrix rows the optimizer tolerates
 GAP_TOL = 1e-9  # certificate gap (LP bound minus exact ratio) at which the gap search stops
 GAP_ROUND_CAP = 200  # linear programs the gap search solves at most
+FIT_GAP = 1e-9  # duality gap (nats of weighted KL) at which the no-signaling fit stops
+FIT_STEP_CAP = 500  # no-signaling fit iterations (Newton steps and barrier raises) at most
 
 
 @dataclass(frozen=True)
@@ -122,6 +131,8 @@ class BehaviorTable:
         arr = np.asarray(self.table, dtype=float)
         if arr.ndim != 4 or arr.shape[0] != arr.shape[1] or arr.shape[2] != arr.shape[3]:
             raise InvalidInput("behavior must have shape (m, m, d, d)")
+        if not np.all(np.isfinite(arr)):
+            raise InvalidInput("behavior contains non-finite entries")
         if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
             raise InvalidInput("behavior entries must lie in [0, 1]")
         sums = arr.sum(axis=(2, 3))
@@ -555,127 +566,74 @@ def efficiency_threshold(
     return float(min(min(feasible), 1.0))
 
 
+def _setting_weights(weights, m: int) -> np.ndarray:
+    """(m, m) setting-pair weights, 1/m^2 each by default; finite and nonnegative."""
+    if weights is None:
+        return np.full((m, m), 1.0 / (m * m))
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (m, m) or not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise InvalidInput("weights must be a finite nonnegative (m, m) array")
+    return w
+
+
 def kl_divergence(freq: BehaviorTable, model: BehaviorTable, weights=None) -> float:
     """Weighted KL divergence (bits) between two behavior tables.
 
     Model cells are floored at 1e-12; zero frequency cells contribute 0.
     """
-    m = freq.settings
-    if weights is None:
-        weights = np.full((m, m), 1.0 / (m * m))
-    return _kl_bits(freq.table, model.table, np.asarray(weights, dtype=float))
+    w = _setting_weights(weights, freq.settings)
+    terms = xlogy(freq.table, freq.table / np.clip(model.table, 1e-12, None))
+    return float((w[:, :, None, None] * terms).sum() / math.log(2))
 
 
-def _kl_bits(f: np.ndarray, model: np.ndarray, weights: np.ndarray) -> float:
-    """kl_divergence on raw (m, m, d, d) tables with (m, m) weights."""
-    p = np.clip(model, 1e-12, None)
-    mask = f > 0
-    terms = np.zeros_like(f)
-    terms[mask] = f[mask] * np.log2(f[mask] / p[mask])
-    return float((weights[:, :, None, None] * terms).sum())
-
-
-class _NoSignalingProjector:
-    """Dykstra projection onto {per-setting normalization, NS equalities, p >= floor}."""
-
-    def __init__(self, m: int, d: int, floor: float = 1e-12):
-        self.shape = (m, m, d, d)
-        self.floor = floor
-        n = m * m * d * d
-        rows = []
-        rhs = []
-
-        def cell(x, y, a, b):
-            return np.ravel_multi_index((x, y, a, b), self.shape)
-
-        for x in range(m):
-            for y in range(m):
-                row = np.zeros(n)
-                for a in range(d):
-                    for b in range(d):
-                        row[cell(x, y, a, b)] = 1.0
-                rows.append(row)
-                rhs.append(1.0)
-        for x in range(m):
-            for a in range(d):
-                for y in range(m - 1):
-                    row = np.zeros(n)
-                    for b in range(d):
-                        row[cell(x, y, a, b)] = 1.0
-                        row[cell(x, y + 1, a, b)] = -1.0
-                    rows.append(row)
-                    rhs.append(0.0)
-        for y in range(m):
-            for b in range(d):
-                for x in range(m - 1):
-                    row = np.zeros(n)
-                    for a in range(d):
-                        row[cell(x, y, a, b)] = 1.0
-                        row[cell(x + 1, y, a, b)] = -1.0
-                    rows.append(row)
-                    rhs.append(0.0)
-        self.a = np.asarray(rows)
-        self.rhs = np.asarray(rhs)
-        self.solve = np.linalg.pinv(self.a @ self.a.T)
-
-    def affine(self, x: np.ndarray) -> np.ndarray:
-        return x - self.a.T @ (self.solve @ (self.a @ x - self.rhs))
-
-    def __call__(self, table: np.ndarray, iters: int = 600) -> np.ndarray:
-        x = table.ravel().astype(float)
-        p_inc = np.zeros_like(x)
-        q_inc = np.zeros_like(x)
-        for _ in range(iters):
-            y = self.affine(x + p_inc)
-            p_inc = x + p_inc - y
-            z = np.clip(y + q_inc, self.floor, None)
-            q_inc = y + q_inc - z
-            if np.max(np.abs(z - x)) < 1e-14:
-                x = z
-                break
-            x = z
-        return x.reshape(self.shape)
-
-
-def no_signaling_fit(
-    freq: BehaviorTable,
-    weights=None,
-    max_iters: int = 10_000,
-) -> BehaviorTable:
+def no_signaling_fit(freq: BehaviorTable, weights=None) -> BehaviorTable:
     """Closest no-signaling behavior to raw frequencies, in weighted KL.
 
-    Projected gradient descent with step halving and at most max_iters
-    accepted steps; the returned table satisfies the no-signaling
-    equalities to the projector's accuracy and never fits worse than
-    the projection of the input itself.
+    Every table meeting the normalization and no-signaling equalities is
+    p = u + N theta, with u the uniform table 1/d^2 and N an orthonormal
+    basis of the equalities' null space, so only p >= 0 is left.  It
+    enters through a log barrier: damped Newton steps on
+    t (-sum w f ln p) - sum ln p, with Armijo backtracking that keeps
+    p > 0, until lambda^2 / 2 <= max(1e-12, 1e-15 t) (lambda the Newton
+    decrement; the bound is the rounding floor of the t-scaled
+    objective).  Then t grows 20-fold, until the duality gap cells / t
+    is at most FIT_GAP nats.  Not converging within FIT_STEP_CAP
+    iterations raises QopError.  The result is clipped at 0 and
+    renormalized per setting pair.
     """
     m, d = freq.settings, freq.outcomes
-    if weights is None:
-        weights = np.full((m, m), 1.0 / (m * m))
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (m, m) or np.any(weights < 0):
-        raise InvalidInput("weights must be a nonnegative (m, m) array")
-    project = _NoSignalingProjector(m, d)
-    f = freq.table
-    x = project(f)
+    c = (_setting_weights(weights, m)[:, :, None, None] * freq.table).ravel()
+    # equality rows from the identity table: the sum per setting pair, then
+    # each party's marginal minus its value at the other party's next setting
+    cells = np.eye(c.size).reshape(m, m, d, d, c.size)
+    alice, bob = cells.sum(axis=3), cells.sum(axis=2)
+    rows = [cells.sum(axis=(2, 3)), alice[:, 1:] - alice[:, :-1], bob[1:] - bob[:-1]]
+    basis = null_space(np.concatenate([r.reshape(-1, c.size) for r in rows]))
 
-    current = _kl_bits(f, x, weights)
-    step = 1.0
-    for _ in range(int(max_iters)):
-        grad = -weights[:, :, None, None] * f / np.clip(x, 1e-12, None) / math.log(2)
-        moved = False
-        while step > 1e-14:
-            cand = project(x - step * grad)
-            val = _kl_bits(f, cand, weights)
-            if val < current - 1e-15:
-                x, current = cand, val
-                moved = True
-                step *= 1.5
+    def barrier(p, t):
+        return -float((t * c + 1.0) @ np.log(p))
+
+    p, t = np.full(c.size, 1.0 / d**2), 1.0
+    for _ in range(FIT_STEP_CAP):
+        scaled = (t * c + 1.0) / p  # minus the barrier's gradient in p
+        descent = basis.T @ scaled
+        step = np.linalg.solve((basis.T * (scaled / p)) @ basis, descent)
+        decrement = float(descent @ step)  # lambda^2
+        if decrement / 2 <= max(1e-12, 1e-15 * t):
+            if c.size / t <= FIT_GAP:
                 break
-            step *= 0.5
-        if not moved or step <= 1e-14:
-            break
-    table = np.clip(x, 0.0, None)
+            t *= 20.0
+            continue
+        move, size = basis @ step, 1.0
+        while np.any(p + size * move <= 0):
+            size *= 0.5
+        value = barrier(p, t)
+        while barrier(p + size * move, t) > value - 0.25 * size * decrement:
+            size *= 0.5
+        p = p + size * move
+    else:
+        raise QopError(f"no-signaling fit did not converge in {FIT_STEP_CAP} iterations")
+    table = np.clip(p.reshape(freq.table.shape), 0.0, None)
     table /= table.sum(axis=(2, 3), keepdims=True)
     return BehaviorTable(table)
 

@@ -400,6 +400,51 @@ def test_no_signaling_fit_fixes_no_signaling_input():
     assert np.abs(fit.table - beh.table).max() < 1e-8
 
 
+def _signaling_table(m, d, rng, zero_cells):
+    """Random frequencies that signal; with zero_cells, about a quarter of the cells are 0."""
+    table = rng.uniform(size=(m, m, d, d)) ** 3
+    if zero_cells:
+        table[rng.uniform(size=table.shape) < 0.25] = 0.0
+        table[..., 0, 0] += table.sum(axis=(2, 3)) == 0  # no empty setting pair
+    return table / table.sum(axis=(2, 3), keepdims=True)
+
+
+def test_no_signaling_fit_matches_slsqp_oracle():
+    rng = np.random.default_rng(101)
+    attempted = solved = 0
+    for m, d in [(1, 3), (2, 2), (3, 2), (2, 3)]:
+        for i in range(6):
+            freq = _signaling_table(m, d, rng, zero_cells=i % 2 == 1)
+            weights = rng.uniform(size=(m, m))
+            if m > 1 and i == 2:
+                weights[0, 1] = 0.0  # a setting pair the fit ignores
+            weights /= weights.sum()
+            fit = no_signaling_fit(BehaviorTable(freq), weights).table
+            rows, rhs = oracles.no_signaling_rows_loops(m, d)
+            assert np.abs(rows @ fit.ravel() - rhs).max() <= 1e-12
+            assert fit.min() >= 0.0
+            assert np.abs(fit.sum(axis=(2, 3)) - 1.0).max() <= 1e-12
+            oracle_kl, success = oracles.no_signaling_fit_slsqp(freq, weights)
+            attempted += 1
+            if success:
+                solved += 1
+                fit_kl = kl_divergence(BehaviorTable(freq), BehaviorTable(fit), weights)
+                assert fit_kl <= oracle_kl + 1e-9
+    assert solved >= attempted / 2
+
+
+def test_weights_and_behavior_entries_must_be_finite():
+    beh = tilted_inequality(0.0)
+    beh = behavior_from_state(beh.state, beh.settings_a, beh.settings_b)
+    for weights in (np.full((2, 2), np.nan), -np.ones((2, 2)), np.ones((2, 3)), np.ones(4)):
+        with pytest.raises(InvalidInput):
+            no_signaling_fit(beh, weights)
+        with pytest.raises(InvalidInput):
+            kl_divergence(beh, beh, weights)
+    with pytest.raises(InvalidInput):
+        BehaviorTable(np.full((1, 1, 2, 2), np.nan))
+
+
 def test_counts_round_trip():
     rng = np.random.default_rng(99)
     counts = CountsTable(rng.integers(1, 100, size=(2, 2, 2, 2)).astype(float))

@@ -305,6 +305,8 @@ def test_wrong_schema_exits_one(tmp_path, outdir):
     mub1 = read_json(cfg("qse_estimate_mub1.json"))
     chsh = read_json(cfg("chsh.json"))
     sweep = {"N": 4, "k": 2, "d": 2, "trials": 2}
+    nan_behavior = read_json(cfg("chsh_behavior.json"))
+    nan_behavior["behavior"]["0,0"][0][0] = float("nan")
     cases = [
         ("bell-lhv", {"m": 2}),  # no usable inequality payload
         ("bell-lhv", [1, 2]),
@@ -332,6 +334,8 @@ def test_wrong_schema_exits_one(tmp_path, outdir):
         ("bell-lhv", {"inequality": {**chsh, "bound": float("nan")}}),
         ("qse-estimate", {**mub1, "dump_state": "no"}),
         ("qmp-solve", {**pure3, "identity_seed": "false"}),
+        ("bell-efficiency", {"inequality": chsh, "behavior": nan_behavior, "mode": "asymmetricB1"}),
+        ("bell-efficiency", {"inequality": chsh, "behavior": nan_behavior, "mode": "symmetric"}),
     ]
     for i, (command, body) in enumerate(cases):
         config = tmp_path / f"wrong{i}.json"
