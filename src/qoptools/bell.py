@@ -202,10 +202,6 @@ class CountsTable:
         return cls(counts)
 
 
-def _stack_coefficients(ineq: BellInequality) -> np.ndarray:
-    return np.concatenate([ineq.joint.ravel(), ineq.marg_a.ravel(), ineq.marg_b.ravel()])
-
-
 def _unstack_coefficients(s: np.ndarray, scenario: BellScenario) -> BellInequality:
     m, d = scenario.settings, scenario.outcomes
     nj = m * m * d * d

@@ -41,9 +41,52 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _json_pieces(obj, nl: str):
+    """json.dumps(obj, sort_keys=True, indent=2) in pieces; nl is newline plus current indent."""
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("result dicts must have str keys")
+        inner, sep = nl + "  ", "{"
+        for key in sorted(obj):
+            yield sep + inner + json.dumps(key) + ": "
+            yield from _json_pieces(obj[key], inner)
+            sep = ","
+        yield nl + "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        inner = nl + "  "
+        # exact finite floats print as float.__repr__, which json also uses;
+        # a NaN or inf anywhere makes the sum non-finite
+        if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
+            yield "[" + inner + ("," + inner).join(map(float.__repr__, obj)) + nl + "]"
+            return
+        sep = "["
+        for item in obj:
+            yield sep + inner
+            yield from _json_pieces(item, inner)
+            sep = ","
+        yield nl + "]"
+    else:
+        yield json.dumps(obj)
+
+
 def _write_json(path: str, obj) -> None:
+    """Write json.dumps(obj, sort_keys=True, indent=2) and a newline, byte for byte.
+
+    json runs its pure-Python encoder whenever indent is set, which costs
+    more per float than float.__repr__ itself, and a dumped D=256 state
+    holds 131,072 floats.  Here each list of exact finite floats (a matrix
+    row) is encoded by one join, every other scalar by json.dumps, and the
+    text is streamed to the file in pieces.  A dict with a non-str key,
+    which json would convert to a string, raises TypeError.
+    """
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.writelines(_json_pieces(obj, "\n"))
         fh.write("\n")
 
 
@@ -166,7 +209,9 @@ def _command(name: str, keys):
                 code, result, extra = body(cfg, run)
                 result["command"] = name
                 result["seed"] = seed
+                write_started = time.perf_counter()
                 _write_json(os.path.join(out_dir, "result.json"), result)
+                write_seconds = time.perf_counter() - write_started
                 _write_json(os.path.join(out_dir, "run_info.json"), {
                     "command": name,
                     "config": os.path.abspath(config_path),
@@ -175,6 +220,7 @@ def _command(name: str, keys):
                     "started_utc": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
                     "finished_utc": datetime.now(timezone.utc).isoformat(),
                     "runtime_seconds": time.time() - started,
+                    "write_seconds": write_seconds,
                     "version": __version__,
                     **extra,
                 })

@@ -12,15 +12,22 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import qoptools
+from qoptools.mathcore import matrix_to_dict, random_mixed_state
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 CONFIGS = os.path.join(ROOT, "configs")
 DEMOS = os.path.join(ROOT, "demos")
 SUBCOMMANDS = ("qse-estimate", "qse-benchmark", "bell-lhv", "bell-optimize",
                "bell-efficiency", "qmp-solve", "qmp-sweep")
+# bundled command configs are named after their subcommand
+CONFIG_COMMANDS = {"bell_efficiency": "bell-efficiency", "bell_lhv": "bell-lhv",
+                   "bell_optimize": "bell-optimize", "qmp_solve": "qmp-solve",
+                   "qmp_sweep": "qmp-sweep", "qse_benchmark": "qse-benchmark",
+                   "qse_estimate": "qse-estimate"}
 # what a generated console script does: resolve "module:attr" and call it
 ENTRY_POINT_LAUNCHER = (
     "import sys\n"
@@ -53,6 +60,19 @@ def outdir(tmp_path):
 
 def cfg(name):
     return os.path.join(CONFIGS, name)
+
+
+def config_command(name):
+    """Subcommand that a bundled config file is for, or None for a data file."""
+    return next((c for prefix, c in CONFIG_COMMANDS.items() if name.startswith(prefix)), None)
+
+
+def capped_ame44(tmp_path):
+    """The bundled AME(4,4) config capped at 25 iterations; its D=256 state is a 4 MB result."""
+    config = tmp_path / "ame44_25.json"
+    config.write_text(json.dumps({**read_json(cfg("qmp_solve_ame44_slow.json")),
+                                  "max_iterations": 25}))
+    return str(config)
 
 
 def test_console_script_installed():
@@ -200,6 +220,8 @@ def test_qmp_solve_writes_trajectory(outdir):
     info = read_json(os.path.join(outdir, "run_info.json"))
     assert info["warm_eigensteps"] == result["iterations"] - 1
     assert info["eigh_fallbacks"] == 0
+    assert info["write_seconds"] >= 0.0
+    assert "write_seconds" not in result
     assert "eigensteps were rejected" not in proc.stderr
 
 
@@ -284,6 +306,60 @@ def test_reruns_are_byte_identical(tmp_path):
             with open(os.path.join(out, "result.json"), "rb") as fh:
                 blobs.append(fh.read())
         assert blobs[0] == blobs[1], command
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(CONFIGS) if config_command(n)))
+def test_bundled_results_are_json_indent_2_text(tmp_path, name):
+    # float repr round-trips exactly, so re-encoding the parsed file must give it back
+    from click.testing import CliRunner
+
+    from qoptools import cli
+
+    config = capped_ame44(tmp_path) if name == "qmp_solve_ame44_slow.json" else cfg(name)
+    out = tmp_path / "out"
+    res = CliRunner().invoke(cli.main, [config_command(name), "--config", config,
+                                        "--out", str(out), "--seed", "1"])
+    assert res.exit_code in (0, 2), res.stderr
+    text = (out / "result.json").read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+NAN, INF = float("nan"), float("inf")
+WRITER_CASES = {
+    "nonfinite_in_float_list": {"row": [1.0, NAN, 2.5], "ends": [INF, -INF], "alone": NAN},
+    "awkward_floats": [-0.0, 5e-324, 1e16, 1e-5, 0.1, 1e308, -1e308, 2.0**-1074],
+    "overflowing_sum": [1e308, 1e308, -0.5],
+    "ints_in_float_list": [1.0, 2, 3.5, -4],
+    "scalars": [True, False, None, 0, -7, "x", 2**70],
+    "top_level_float": 0.1,
+    "top_level_nan": NAN,
+    "top_level_string": "a\"b\n\u00e9",
+    "tuples": {"pair": (1.0, 2.0), "rows": ((0.5,), (0.25, "s"))},
+    "empty": {"list": [], "dict": {}, "nested": [[], {}, [[]]]},
+    "float_rows": {"b": [[0.5, -0.25], [1e-300, 3.0]], "a": [[1.0]]},
+    "non_ascii": {"ключ": "значение", "é": ["ü", "\u2603"], "b": 1, "A": None},
+    "numpy_floats": [np.float64(0.1), np.float64(NAN), 1.5, np.float64(-INF)],
+    "only_numpy_floats": [np.float64(0.1), np.float64(2.0)],
+    "random_64x64_state": matrix_to_dict(random_mixed_state(64, 9).matrix),
+}
+
+
+@pytest.mark.parametrize("case", WRITER_CASES)
+def test_write_json_matches_json_dumps(tmp_path, case):
+    from qoptools import cli
+
+    obj = WRITER_CASES[case]
+    path = tmp_path / "out.json"
+    cli._write_json(str(path), obj)
+    assert path.read_text() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [{1: [0.5, 1.0], 0: "a"}, {"a": [1.0, 2.0], "b": {3: 4}}])
+def test_write_json_rejects_non_str_keys(tmp_path, obj):
+    from qoptools import cli
+
+    with pytest.raises(TypeError):
+        cli._write_json(str(tmp_path / "out.json"), obj)
 
 
 def test_missing_config_exits_one(outdir):
@@ -379,13 +455,9 @@ def test_every_subcommand_has_the_common_options_and_its_docstring_as_help():
 def test_bundled_configs_use_known_keys():
     from qoptools import cli
 
-    commands = {"bell_efficiency": "bell-efficiency", "bell_lhv": "bell-lhv",
-                "bell_optimize": "bell-optimize", "qmp_solve": "qmp-solve",
-                "qmp_sweep": "qmp-sweep", "qse_benchmark": "qse-benchmark",
-                "qse_estimate": "qse-estimate"}
     checked = 0
     for name in sorted(os.listdir(CONFIGS)):
-        command = next((c for prefix, c in commands.items() if name.startswith(prefix)), None)
+        command = config_command(name)
         if command is not None:
             assert set(read_json(cfg(name))) <= cli._CONFIG_KEYS[command], name
             checked += 1
