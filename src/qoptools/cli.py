@@ -162,7 +162,6 @@ class _Run:
     base_dir: str  # directory of the config file; relative references resolve against it
     out_dir: str
     seed: int
-    threads: int
 
 
 # every top-level key each command reads; any other key is a typo and exits 1
@@ -191,7 +190,7 @@ def _command(name: str, keys):
         @click.option("--seed", default=0, type=click.IntRange(0, 2**64 - 1),
                       show_default=True, help="Seed for every random draw in the run.")
         @click.option("--threads", default=1, type=click.IntRange(min=1), show_default=True,
-                      help="Worker threads for trial-parallel commands.")
+                      help="Recorded in run_info.json; no command runs worker threads.")
         def command(config_path, out_dir, seed, threads):
             started = time.time()
             os.makedirs(out_dir, exist_ok=True)
@@ -205,7 +204,7 @@ def _command(name: str, keys):
                                    f"{', '.join(map(repr, unknown))}; known keys: "
                                    f"{', '.join(sorted(known))}")
                 click.echo(f"{name}: seed={seed} config={config_path}", err=True)
-                run = _Run(os.path.dirname(os.path.abspath(config_path)), out_dir, seed, threads)
+                run = _Run(os.path.dirname(os.path.abspath(config_path)), out_dir, seed)
                 code, result, extra = body(cfg, run)
                 result["command"] = name
                 result["seed"] = seed
@@ -421,7 +420,6 @@ def qmp_sweep(cfg, run):
         trials=result["trials"],
         generator=result["generator"],
         rng=run.seed,
-        workers=run.threads,
     )
     emit_plot_data(table, "m,psd_count", os.path.join(run.out_dir, "sweep.csv"))
     for m, count in table:

@@ -245,12 +245,33 @@ def kron(*ops: np.ndarray) -> np.ndarray:
 
 
 def _resolve_dims(mat: np.ndarray, dims: Sequence[int] | None) -> tuple[int, ...]:
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise InvalidInput(f"expected a square matrix, got shape {mat.shape}")
     if dims is None:
         return (mat.shape[0],)
     dims = tuple(int(x) for x in dims)
     if math.prod(dims) != mat.shape[0]:
         raise InvalidInput(f"dims {dims} do not multiply to matrix dim {mat.shape[0]}")
     return dims
+
+
+def _complement_diagonal(mat: np.ndarray, keep: Sequence[int], dims: Sequence[int]) -> np.ndarray:
+    """Writeable view of the entries of `mat` that are diagonal on the complement of `keep`.
+
+    Axes: the row digits of the sorted subsystems `keep`, their column
+    digits, then one axis per complement subsystem whose stride ties its
+    row digit to its column digit; the digit of subsystem i has place
+    value prod(dims[i+1:]).  Summing the complement axes is the partial
+    trace onto `keep`; writing to the view writes to `mat`.  Works for
+    any 2-D strides.
+    """
+    comp = [i for i in range(len(dims)) if i not in keep]
+    row, col = mat.strides
+    place = [math.prod(dims[i + 1:]) for i in range(len(dims))]
+    strides = ([row * place[i] for i in keep] + [col * place[i] for i in keep]
+               + [(row + col) * place[i] for i in comp])
+    shape = [dims[i] for i in keep] * 2 + [dims[i] for i in comp]
+    return np.lib.stride_tricks.as_strided(mat, shape, strides)
 
 
 def partial_trace(state, keep: Iterable[int], dims: Sequence[int] | None = None):
@@ -270,17 +291,9 @@ def partial_trace(state, keep: Iterable[int], dims: Sequence[int] | None = None)
     if keep[0] < 0 or keep[-1] >= n:
         raise InvalidSubsystem(f"subsystem index out of range for {n} subsystems")
 
-    tensor = mat.reshape(sys_dims + sys_dims)
-    # row axis i and column axis n+i pair up; contract the dropped ones
-    row_idx = list(range(n))
-    col_idx = list(range(n, 2 * n))
-    for i in range(n):
-        if i not in keep:
-            col_idx[i] = row_idx[i]
-    out_axes = [row_idx[i] for i in keep] + [col_idx[i] for i in keep]
-    reduced = np.einsum(tensor, row_idx + col_idx, out_axes)
+    view = _complement_diagonal(mat, keep, sys_dims)
     dk = math.prod(sys_dims[i] for i in keep)
-    reduced = reduced.reshape(dk, dk)
+    reduced = view.sum(axis=tuple(range(2 * len(keep), view.ndim))).reshape(dk, dk)
     if is_state:
         return QuantumState(hermitize(reduced), tuple(sys_dims[i] for i in keep))
     return reduced

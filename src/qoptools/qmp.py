@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -39,6 +38,7 @@ from .errors import (
 from .mathcore import (
     QuantumState,
     _as_matrix,
+    _complement_diagonal,
     as_rng,
     check_hermitian,
     eigh,
@@ -99,23 +99,6 @@ def embed_with_mixed(op, subset, n_parties: int, local_dim: int) -> np.ndarray:
     return tensor.reshape(d**n_parties, d**n_parties)
 
 
-def _complement_diagonal(mat: np.ndarray, sub, n_parties: int, d: int) -> np.ndarray:
-    """Writeable view of the entries of `mat` that are diagonal on the complement of `sub`.
-
-    Axes: the row digits of `sub`, its column digits, then one axis per
-    complement party whose stride ties its row digit to its column digit.
-    Summing the complement axes is the partial trace onto `sub`; writing
-    to the view writes to `mat`.  Works for any 2-D strides.
-    """
-    comp = [i for i in range(n_parties) if i not in sub]
-    row, col = mat.strides
-    place = [d ** (n_parties - 1 - i) for i in range(n_parties)]
-    strides = ([row * place[i] for i in sub] + [col * place[i] for i in sub]
-               + [(row + col) * place[i] for i in comp])
-    shape = (d,) * (2 * len(sub) + len(comp))
-    return np.lib.stride_tricks.as_strided(mat, shape, strides)
-
-
 def _marginal_step(target, source, sub, sigma, n_parties: int, d: int, scale: float = 1.0):
     """Add scale * (sigma - Tr_Jc source) (x) I/d^{|Jc|} to `target` in place.
 
@@ -123,11 +106,12 @@ def _marginal_step(target, source, sub, sigma, n_parties: int, d: int, scale: fl
     adds the same delta into its momentum accumulator instead.
     """
     k = len(sub)
-    view = _complement_diagonal(source, sub, n_parties, d)
+    dims = (d,) * n_parties
+    view = _complement_diagonal(source, sub, dims)
     reduced = view.sum(axis=tuple(range(2 * k, n_parties + k)))
     delta = (sigma.reshape(reduced.shape) - reduced) * (scale / d ** (n_parties - k))
     if target is not source:
-        view = _complement_diagonal(target, sub, n_parties, d)
+        view = _complement_diagonal(target, sub, dims)
     view += delta.reshape(delta.shape + (1,) * (n_parties - k))
 
 
@@ -456,9 +440,12 @@ def _iterate(spec, constraint, accuracy, max_iterations, seed_mat, sweep):
     try:
         for n in range(1, int(max_iterations) + 1):
             xp = sweep(x)
-            if not np.all(np.isfinite(xp)):
+            # the norm overflows well before the entries do
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = math.isfinite(np.linalg.norm(xp))
+            if not finite:
                 raise DegenerateIterate(
-                    f"iterate diverged to non-finite values at step {n}; "
+                    f"iterate diverged (its norm overflowed) at step {n}; "
                     "momentum too strong for this problem, reduce mu or beta_scale"
                 )
             top = None
@@ -579,7 +566,7 @@ def solve_accelerated(
         step = schedule.mu * a_n * schedule.alpha
         x = x.copy()
         # non-finite values can legitimately appear mid-divergence; the
-        # outer loop detects them and raises, so keep numpy quiet here
+        # outer loop sees the norm overflow and raises, so keep numpy quiet here
         with np.errstate(over="ignore", invalid="ignore"):
             for subset, sigma in spec.targets:
                 np.multiply(z, b_n, out=z)
@@ -615,7 +602,6 @@ def npm_sweep(
     trials: int,
     generator: str = "full-rank",
     rng=None,
-    workers: int = 1,
 ):
     """Count PSD outcomes of imposing m random k-body reductions on I/d^N.
 
@@ -623,8 +609,8 @@ def npm_sweep(
     the C(N,k) subsets at random, and checks whether the one-shot
     composition is already positive.  Full-rank mixed generators succeed
     often and increasingly so at larger d; Haar-random pure generators
-    almost never do.  Each trial runs on its own spawned rng stream so
-    the counts do not depend on the worker count.
+    almost never do.  Each trial draws from its own rng stream, spawned
+    in (m, trial) order, which keeps the counts of earlier releases.
     """
     if not 1 <= k < n_parties:
         raise InvalidInput("need 1 <= k < n_parties")
@@ -636,21 +622,12 @@ def npm_sweep(
     n_subsets = math.comb(n_parties, k)
     if any(m < 0 or m > n_subsets for m in m_list):
         raise InvalidInput(f"m must lie in 0..{n_subsets}")
-    streams = as_rng(rng).spawn(len(m_list) * trials)
-
-    def count_for(idx_m: int) -> int:
-        chunk = streams[idx_m * trials : (idx_m + 1) * trials]
-        flags = [
-            _npm_trial(n_parties, k, local_dim, m_list[idx_m], generator, r) for r in chunk
-        ]
-        return int(sum(flags))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            counts = list(pool.map(count_for, range(len(m_list))))
-    else:
-        counts = [count_for(i) for i in range(len(m_list))]
-    return list(zip(m_list, counts))
+    streams = iter(as_rng(rng).spawn(len(m_list) * trials))
+    return [
+        (m, sum(_npm_trial(n_parties, k, local_dim, m, generator, next(streams))
+                for _ in range(trials)))
+        for m in m_list
+    ]
 
 
 def problem_from_dict(obj: dict, base_dir=None) -> tuple[MarginalSpec, SpectralConstraint]:

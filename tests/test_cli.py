@@ -18,6 +18,8 @@ import pytest
 import qoptools
 from qoptools.mathcore import matrix_to_dict, random_mixed_state
 
+from test_qse import sic_povm
+
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 CONFIGS = os.path.join(ROOT, "configs")
 DEMOS = os.path.join(ROOT, "demos")
@@ -115,6 +117,23 @@ def test_qse_estimate_roundtrip(outdir):
     assert result["iterations"] == 2
     assert result["fidelity"] > 1 - 1e-8
     assert "state" in result
+
+
+def test_qse_estimate_povm_config(tmp_path, outdir):
+    gen = random_mixed_state(2, np.random.default_rng(78))
+    povm = sic_povm()
+    config = tmp_path / "povm.json"
+    config.write_text(json.dumps({
+        "measurements": [{"kind": "povm",
+                          "effects": [matrix_to_dict(e) for e in povm.effects]}],
+        "frequencies": [qoptools.qse.born_probabilities(gen, povm).tolist()],
+        "reference": matrix_to_dict(gen.matrix),
+    }))
+    proc = run_cli("qse-estimate", "--config", str(config), "--out", outdir)
+    assert proc.returncode == 0, proc.stderr
+    result = read_json(os.path.join(outdir, "result.json"))
+    assert result["converged"] is True
+    assert result["fidelity"] > 1 - 1e-12
 
 
 def test_dump_state_false_leaves_the_state_out(tmp_path, outdir):
@@ -248,13 +267,14 @@ def test_qmp_solve_reports_eigh_fallbacks(monkeypatch, outdir):
 
 
 def test_qmp_solve_degenerate_iterate_keeps_trajectory(tmp_path, outdir):
-    # full momentum on the infeasible AME(4,2) prescription overflows after ~500 sweeps
+    # full momentum on the infeasible AME(4,2) prescription overflows after a few hundred sweeps
     config = tmp_path / "diverge.json"
     config.write_text(json.dumps({**read_json(cfg("qmp_solve_ame42.json")),
                                   "schedule": {}, "max_iterations": 2000}))
     proc = run_cli("qmp-solve", "--config", str(config), "--out", outdir, "--seed", "0")
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr  # stopped before the norm overflow warns
     errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
     assert len(errors) == 1 and "diverged" in errors[0]
     assert not os.path.exists(os.path.join(outdir, "result.json"))

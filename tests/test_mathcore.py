@@ -64,6 +64,13 @@ def test_partial_trace_of_product_state_factors():
     assert np.abs(partial_trace(rho, [1], (2, 3)) - b).max() < 1e-13
 
 
+def test_partial_trace_rejects_non_square_input():
+    # the strided kernel trusts the shape, so a bad one must stop before it
+    for bad in (np.zeros((2, 4)), np.zeros(4), np.zeros((2, 2, 2))):
+        with pytest.raises(InvalidInput):
+            partial_trace(bad, [0], (2,))
+
+
 def test_eigh_descending_and_reconstructs():
     rng = np.random.default_rng(44)
     h = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))

@@ -226,6 +226,49 @@ def test_estimate_exact_data_two_passes(n, protocol):
     assert fidelity(result.state, gen) > 1 - 1e-8
 
 
+_PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def sic_povm():
+    """Qubit tetrahedral SIC-POVM: (I + n.sigma)/4 for the four tetrahedron vertices n."""
+    vertices = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
+    return MeasurementSet(
+        [(np.eye(2) + sum(c * s for c, s in zip(n, _PAULIS))) / 4 for n in vertices], "povm"
+    )
+
+
+def test_estimate_exact_sic_povm_data():
+    rng = np.random.default_rng(76)
+    gen = random_mixed_state(2, rng)
+    povm = sic_povm()
+    freqs = born_probabilities(gen, povm)
+    result = estimate(EstimationProblem((povm,), (freqs,)))
+    assert result.converged
+    # the four effects overlap, so each pass only shrinks the error by a
+    # fixed factor: about 20 passes to move less than the default 1e-10
+    assert 10 < result.iterations < 30
+    assert result.residual < 1e-10
+    assert fidelity(result.state, gen) > 1 - 1e-12
+    assert np.abs(born_probabilities(result.state, povm) - freqs).max() < 1e-10
+
+
+def test_estimate_exact_pauli_observable_basis():
+    rng = np.random.default_rng(77)
+    gen = random_mixed_state(2, rng)
+    paulis = MeasurementSet(_PAULIS, "observable_basis")
+    expectations = born_probabilities(gen, paulis)
+    result = estimate(EstimationProblem((paulis,), (expectations,)))
+    assert result.converged
+    # the observables are HS-orthogonal, so one pass sets all three
+    assert result.iterations == 2
+    assert fidelity(result.state, gen) > 1 - 1e-12
+    assert np.abs(born_probabilities(result.state, paulis) - expectations).max() < 1e-12
+
+
 def test_estimate_noisy_data_still_two_passes():
     rng = np.random.default_rng(73)
     gen = random_mixed_state((2, 2), rng)
