@@ -634,15 +634,15 @@ def no_signaling_fit(freq: BehaviorTable, weights=None) -> BehaviorTable:
     return BehaviorTable(table)
 
 
-def format_inequality(ineq: BellInequality, digits: int = 4) -> str:
-    """Human-readable signed-coefficient form, joints then marginals."""
+def format_inequality(ineq: BellInequality) -> str:
+    """Human-readable signed-coefficient form, joints then marginals, 4 decimals."""
     parts = []
 
     def push(coeff, label):
-        if abs(coeff) < 10 ** (-digits) / 2:
+        if abs(coeff) < 5e-5:  # would print as 0.0000
             return
         sign = "-" if coeff < 0 else "+"
-        parts.append(f"{sign} {abs(coeff):.{digits}f} {label}")
+        parts.append(f"{sign} {abs(coeff):.4f} {label}")
 
     m, d = ineq.scenario.settings, ineq.scenario.outcomes
     for x, y in np.ndindex(m, m):
@@ -658,7 +658,7 @@ def format_inequality(ineq: BellInequality, digits: int = 4) -> str:
         parts = ["+ 0"]
     text = " ".join(parts).lstrip("+ ")
     if ineq.bound is not None:
-        text += f" <= {ineq.bound:.{digits}f}"
+        text += f" <= {ineq.bound:.4f}"
     return text
 
 

@@ -39,11 +39,11 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def check_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def check_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.conj().T)) > tol:
+    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
         raise InvalidInput("matrix is not Hermitian within tolerance")
     return m
 
@@ -172,10 +172,9 @@ class MeasurementSet:
         if kind is MeasurementKind.POVM:
             _check_complete(arr, np.linalg.eigvalsh(arr))
         if kind is MeasurementKind.OBSERVABLE_BASIS:
-            for i, ei in enumerate(arr):
-                for j in range(i):
-                    if abs(np.trace(ei @ arr[j])) > 1e-8:
-                        raise InvalidInput("observables are not HS-orthogonal")
+            gram = np.einsum("aij,bji->ab", arr, arr)  # Tr(E_a E_b)
+            if np.any(np.abs(gram - np.diag(np.diag(gram))) > 1e-8):
+                raise InvalidInput("observables are not HS-orthogonal")
         self._store(kind, labels, len(arr), stack=arr)
 
     @classmethod
@@ -423,6 +422,7 @@ def _assert_unbiased(columns: list[np.ndarray], d: int, tol: float = 1e-9) -> No
 
 # GF(2^n) modulus polynomials as bitmasks (x^2+x+1, x^3+x+1, x^4+x+1)
 _GF_POLY = {1: 0b11, 2: 0b111, 3: 0b1011, 4: 0b10011}
+_MUB_SEED = 12345  # for the random combinations that split each class into a basis
 
 
 def _gf_mul(a: int, b: int, n: int) -> int:
@@ -467,7 +467,7 @@ def _bits(x: int, n: int) -> tuple[int, ...]:
     return tuple((x >> i) & 1 for i in range(n))
 
 
-def qubit_mub_bases(n: int, rng=12345) -> list[MeasurementSet]:
+def qubit_mub_bases(n: int) -> list[MeasurementSet]:
     """2^n + 1 mutually unbiased bases on an n-qubit register.
 
     Partitions the nonidentity Pauli strings into 2^n + 1 commuting
@@ -480,7 +480,7 @@ def qubit_mub_bases(n: int, rng=12345) -> list[MeasurementSet]:
     if n not in _GF_POLY:
         raise UnsupportedDimension(f"qubit register size {n} not supported")
     d = 2**n
-    rng = as_rng(rng)
+    rng = np.random.default_rng(_MUB_SEED)
 
     gram = [[_gf_trace(_gf_mul(1 << i, 1 << j, n), n) for j in range(n)] for i in range(n)]
 

@@ -16,8 +16,8 @@ Q only touches the entries that are diagonal on the complement of J, so
 it is applied as an in-place update on a strided view of those entries
 (O(D d^{|J|}) rather than two dense Kronecker products).  In rank mode
 the spectral step needs only the top r eigenpairs; after the first step
-they come from Lanczos warm-started at the previous iterate's vectors,
-with an exact eigh whenever that answer fails its residual check.
+they come from a stateless block Krylov step started at the previous
+iterate's vectors, with an exact eigh whenever it fails its residual check.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ import time
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 from .errors import (
     DegenerateIterate,
@@ -54,8 +53,9 @@ from .mathcore import (
 
 PSD_WITNESS_TOL = -1e-10
 # a warm top-r eigenstep is accepted when its Ritz residual ||X V - V diag(w)||_F
-# is at most this fraction of ||X||_F; otherwise the step falls back to eigh
+# is at most this fraction of ||X||_F; otherwise it restarts once, then falls back to eigh
 RITZ_RESIDUAL_TOL = 1e-12
+KRYLOV_BLOCKS = 8
 
 
 def _check_subset(subset, n_parties: int) -> tuple[int, ...]:
@@ -99,8 +99,8 @@ def embed_with_mixed(op, subset, n_parties: int, local_dim: int) -> np.ndarray:
     return tensor.reshape(d**n_parties, d**n_parties)
 
 
-def _marginal_step(target, source, sub, sigma, n_parties: int, d: int, scale: float = 1.0):
-    """Add scale * (sigma - Tr_Jc source) (x) I/d^{|Jc|} to `target` in place.
+def _marginal_step(target, source, sub, sigma, n_parties: int, d: int):
+    """Add (sigma - Tr_Jc source) (x) I/d^{|Jc|} to `target` in place.
 
     With target = source this is the substitution Q; the damped sweep
     adds the same delta into its momentum accumulator instead.
@@ -109,7 +109,7 @@ def _marginal_step(target, source, sub, sigma, n_parties: int, d: int, scale: fl
     dims = (d,) * n_parties
     view = _complement_diagonal(source, sub, dims)
     reduced = view.sum(axis=tuple(range(2 * k, n_parties + k)))
-    delta = (sigma.reshape(reduced.shape) - reduced) * (scale / d ** (n_parties - k))
+    delta = (sigma.reshape(reduced.shape) - reduced) * (1.0 / d ** (n_parties - k))
     if target is not source:
         view = _complement_diagonal(target, sub, dims)
     view += delta.reshape(delta.shape + (1,) * (n_parties - k))
@@ -305,10 +305,10 @@ class ConvergenceReport:
 
     In rank mode, warm_eigensteps counts the spectral steps taken from a
     warm-started top-r decomposition and eigh_fallbacks the steps where
-    that decomposition was rejected (no convergence, or a Ritz residual
-    above RITZ_RESIDUAL_TOL) and a full eigh ran instead.  The first
-    step, spectra mode and rank >= dim - 1 always use eigh and count as
-    neither.
+    that decomposition was rejected (its Ritz residual stayed above
+    RITZ_RESIDUAL_TOL after one restart) and a full eigh ran instead.
+    The first step, spectra mode and rank >= dim - 1 always use eigh and
+    count as neither.
     """
 
     iterations: int = 0
@@ -331,10 +331,9 @@ class ConvergenceReport:
 
 
 class _Trajectory:
-    """Per-iteration recorder that halves its rate past a point cap."""
+    """Per-iteration recorder that halves its rate whenever it holds 10,000 points."""
 
-    def __init__(self, cap: int = 10000):
-        self.cap = cap
+    def __init__(self):
         self.stride = 1
         self.rows = []
         self.last = None
@@ -343,7 +342,7 @@ class _Trajectory:
         self.last = (n, dm, dl, dt)
         if n % self.stride == 0:
             self.rows.append(self.last)
-            if len(self.rows) >= self.cap:
+            if len(self.rows) >= 10000:
                 self.rows = self.rows[::2]
                 self.stride *= 2
 
@@ -379,28 +378,28 @@ def _seed_state(spec: MarginalSpec, rng, identity_seed: bool) -> np.ndarray:
     return random_mixed_state((spec.local_dim,) * spec.n_parties, rng).matrix
 
 
-def _top_eigenpairs(xp: np.ndarray, r: int, v0: np.ndarray):
-    """Top-r eigenpairs of Hermitian `xp` (descending) by Lanczos from v0, or None.
+def _top_eigenpairs(xp: np.ndarray, v0: np.ndarray):
+    """Top-r eigenpairs of Hermitian `xp` (descending) from r orthonormal columns v0, or None.
 
-    ARPACK supplies the subspace; a Rayleigh-Ritz step on its orthonormal
-    basis gives real eigenvalues and orthonormal vectors.  None means the
-    answer is not trusted: ARPACK failed, or the Ritz residual exceeds
-    RITZ_RESIDUAL_TOL relative to ||xp||_F.
+    Rayleigh-Ritz on the block Krylov space of v0, up to KRYLOV_BLOCKS blocks.  A
+    Householder QR of the basis and the next product gives columns orthonormal to the
+    basis, also when that block collapses, and fewer once the basis fills the space.
+    A Ritz residual above RITZ_RESIDUAL_TOL * ||xp||_F restarts once from the Ritz vectors.
     """
-    try:
-        # from a warm start a small Krylov space suffices; ARPACK restarts if not
-        _, basis = eigsh(xp, k=r, which="LA", v0=v0, ncv=min(xp.shape[0], 2 * r + 4))
-        q, _ = np.linalg.qr(basis)
-    except (ArpackError, ArpackNoConvergence, np.linalg.LinAlgError):
-        return None
-    xq = xp @ q
-    w, u = np.linalg.eigh(hermitize(q.conj().T @ xq))
-    w, u = w[::-1], u[:, ::-1]
-    vecs = q @ u
-    residual = np.linalg.norm(xq @ u - vecs * w)
-    if not residual <= RITZ_RESIDUAL_TOL * np.linalg.norm(xp):
-        return None
-    return w, vecs
+    r = v0.shape[1]
+    for _ in range(2):
+        q, xq = [v0], []
+        for _ in range(KRYLOV_BLOCKS - 1):
+            basis = np.hstack(q)
+            xq.append(xp @ q[-1])
+            q.append(np.linalg.qr(np.hstack([basis, xq[-1]]))[0][:, basis.shape[1]:])
+        q, xq = np.hstack(q), np.hstack(xq + [xp @ q[-1]])
+        w, u = np.linalg.eigh(q.conj().T @ xq)
+        w, u = w[::-1][:r], u[:, ::-1][:, :r]
+        v0 = q @ u
+        if np.linalg.norm(xq @ u - v0 * w) <= RITZ_RESIDUAL_TOL * np.linalg.norm(xp):
+            return w, v0
+    return None
 
 
 def _iterate(spec, constraint, accuracy, max_iterations, seed_mat, sweep):
@@ -450,7 +449,7 @@ def _iterate(spec, constraint, accuracy, max_iterations, seed_mat, sweep):
                 )
             top = None
             if warm is not None:
-                top = _top_eigenpairs(xp, rank, warm.sum(axis=1))
+                top = _top_eigenpairs(xp, warm)
                 counts["eigh_fallbacks" if top is None else "warm_eigensteps"] += 1
             if top is None:
                 vals, vecs = eigh(xp)
@@ -506,11 +505,11 @@ def solve(
 class HalpernSchedule:
     """Step policy for the accelerated iteration.
 
-    alpha scales the residual direction, mu damps the applied step, and
-    alpha_n = (n/1e5 + 1)^(-exponent) decays both the step and the
-    momentum weight beta_n = beta_scale * alpha_n^2.  exponent=0 pins
-    alpha_n at 1 and, together with beta_scale=0 and mu=1, makes the
-    accelerated iteration coincide with the plain one step for step.
+    mu damps the applied step, and alpha_n = (n/1e5 + 1)^(-exponent)
+    decays both the step and the momentum weight beta_n = beta_scale *
+    alpha_n^2.  exponent=0 pins alpha_n at 1 and, together with
+    beta_scale=0 and mu=1, makes the accelerated iteration coincide with
+    the plain one step for step.  alpha has no effect (it cancels).
     """
 
     alpha: float = 1.0
@@ -547,14 +546,14 @@ def solve_accelerated(
     """Momentum-damped variant of solve.
 
     Each marginal substitution is applied as a relaxed step
-        z <- (Q(x) - x)/alpha + beta_n z
-        x <- x + mu alpha_n alpha z
+        z <- (Q(x) - x) + beta_n z
+        x <- x + mu alpha_n z
     with the accumulator z persisting across sweeps, then the spectral
-    projection runs unchanged.  Small mu with large alpha trades step
-    size for momentum, which on hard prescriptions (broad plateaus)
-    tends to dive below tolerance sooner than the plain iteration.
-    Full momentum with mu near 1 overshoots and usually diverges; that
-    surfaces as DegenerateIterate rather than silent nonsense.
+    projection runs unchanged.  Accumulating (Q(x) - x)/alpha and
+    stepping by mu alpha_n alpha z is the same update, so the schedule's
+    alpha does not enter.  Full momentum with mu near 1 overshoots and
+    usually diverges; that surfaces as DegenerateIterate rather than
+    silent nonsense.
     """
     x0 = _seed_state(spec, as_rng(rng), identity_seed)
     z = np.zeros_like(x0)
@@ -563,15 +562,14 @@ def solve_accelerated(
     def sweep(x):
         # Q(x) - x is the structured delta alone, so it goes straight into z
         a_n, b_n = schedule.coefficients(next(sweeps))
-        step = schedule.mu * a_n * schedule.alpha
+        step = schedule.mu * a_n
         x = x.copy()
         # non-finite values can legitimately appear mid-divergence; the
         # outer loop sees the norm overflow and raises, so keep numpy quiet here
         with np.errstate(over="ignore", invalid="ignore"):
             for subset, sigma in spec.targets:
                 np.multiply(z, b_n, out=z)
-                _marginal_step(z, x, subset, sigma.matrix, spec.n_parties, spec.local_dim,
-                               1.0 / schedule.alpha)
+                _marginal_step(z, x, subset, sigma.matrix, spec.n_parties, spec.local_dim)
                 x += step * z
         return x
 

@@ -34,6 +34,7 @@ from .mathcore import (
     mub_bases,
     pauli_product_bases,
     qubit_mub_bases,
+    random_mixed_state,
 )
 
 
@@ -285,14 +286,30 @@ def simulate_frequencies(
     return out
 
 
+def _fidelity_trials(measurements, noise: NoiseModel, trials: int, base: int, draw_state):
+    """Mean fidelity, its standard error and the mean pass count of simulated estimations.
+
+    Trial t draws from the stream seeded base + t: first its true state,
+    draw_state(stream), then the counts that are estimated from.
+    """
+    fid = np.empty(trials)
+    iters = np.empty(trials)
+    for t in range(trials):
+        trial_rng = as_rng(base + t)
+        rho_gen = draw_state(trial_rng)
+        freqs = simulate_frequencies(rho_gen, measurements, noise, trial_rng)
+        result = estimate(EstimationProblem(tuple(measurements), tuple(freqs)))
+        fid[t] = fidelity(result.state, rho_gen)
+        iters[t] = result.iterations
+    return float(fid.mean()), float(fid.std(ddof=1) / math.sqrt(trials)), float(iters.mean())
+
+
 def bootstrap_fidelity(
     rho_gen: QuantumState,
     measurements: Sequence[MeasurementSet],
     noise: NoiseModel,
     trials: int,
     rng,
-    accuracy: float = 1e-10,
-    max_iterations: int = 10_000,
 ) -> tuple[float, float]:
     """Mean estimation fidelity and its standard error over repeated runs.
 
@@ -302,18 +319,8 @@ def bootstrap_fidelity(
     trials = int(trials)
     if trials < 2:
         raise InvalidInput("need at least two trials")
-    if isinstance(rng, np.random.Generator):
-        base = int(rng.integers(2**62))
-    else:
-        base = int(rng)
-    values = np.empty(trials)
-    for t in range(trials):
-        freqs = simulate_frequencies(rho_gen, measurements, noise, as_rng(base + t))
-        result = estimate(
-            EstimationProblem(tuple(measurements), tuple(freqs), accuracy, max_iterations)
-        )
-        values[t] = fidelity(result.state, rho_gen)
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(trials))
+    base = int(rng.integers(2**62)) if isinstance(rng, np.random.Generator) else int(rng)
+    return _fidelity_trials(measurements, noise, trials, base, lambda _: rho_gen)[:2]
 
 
 def measurement_protocol(n_qubits: int, protocol: str) -> list[MeasurementSet]:
@@ -345,35 +352,25 @@ def run_benchmark(
     trials ("protocol_seconds", "trials_seconds"); everything else is
     determined by the arguments.
     """
-    from .mathcore import random_mixed_state
-
     trials = int(trials)
     if trials < 2:
         raise InvalidInput("need at least two trials")
-    rng = as_rng(rng)
-    base = int(rng.integers(2**62))
+    base = int(as_rng(rng).integers(2**62))
     n = int(n_qubits)
-    d = 2**n
     started = time.perf_counter()
     measurements = measurement_protocol(n, protocol)
     built = time.perf_counter()
-    noise = NoiseModel(white_noise, samples_factor * d)
-    fid = np.empty(trials)
-    iters = np.empty(trials)
-    for t in range(trials):
-        trial_rng = as_rng(base + t)
-        rho_gen = random_mixed_state([2] * n, trial_rng)
-        freqs = simulate_frequencies(rho_gen, measurements, noise, trial_rng)
-        result = estimate(EstimationProblem(tuple(measurements), tuple(freqs)))
-        fid[t] = fidelity(result.state, rho_gen)
-        iters[t] = result.iterations
+    noise = NoiseModel(white_noise, samples_factor * 2**n)
+    mean, std_error, mean_iterations = _fidelity_trials(
+        measurements, noise, trials, base, lambda trial_rng: random_mixed_state([2] * n, trial_rng)
+    )
     return {
         "protocol": protocol,
         "n_qubits": n,
         "trials": trials,
-        "mean_fidelity": float(fid.mean()),
-        "std_error": float(fid.std(ddof=1) / math.sqrt(len(fid))),
-        "mean_iterations": float(iters.mean()),
+        "mean_fidelity": mean,
+        "std_error": std_error,
+        "mean_iterations": mean_iterations,
         "protocol_seconds": built - started,
         "trials_seconds": time.perf_counter() - built,
     }

@@ -245,15 +245,12 @@ def test_qmp_solve_writes_trajectory(outdir):
 
 
 def test_qmp_solve_reports_eigh_fallbacks(monkeypatch, outdir):
-    # in-process, so ARPACK can be made to fail: every warm step falls back
+    # in-process, so the warm step can be cut to one Krylov block: every warm step falls back
     from click.testing import CliRunner
 
     from qoptools import cli, qmp
 
-    def no_convergence(*args, **kwargs):
-        raise qmp.ArpackNoConvergence("forced", None, None)
-
-    monkeypatch.setattr(qmp, "eigsh", no_convergence)
+    monkeypatch.setattr(qmp, "KRYLOV_BLOCKS", 1)
     res = CliRunner().invoke(cli.main, ["qmp-solve", "--config", cfg("qmp_solve_pure3.json"),
                                         "--out", outdir])
     assert res.exit_code == 0, res.stderr

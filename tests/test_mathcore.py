@@ -233,6 +233,15 @@ def test_pauli_product_bases_counts_and_orthonormality():
                 assert np.abs(e @ e - e).max() < 1e-12  # projector
 
 
+def test_observable_basis_must_be_hs_orthogonal():
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    z = np.diag([1.0, -1.0]).astype(complex)
+    MeasurementSet((x, z, np.eye(2)), "observable_basis")
+    MeasurementSet((x, z + 1e-9 * x), "observable_basis")  # Tr = 2e-9, inside the 1e-8 bound
+    with pytest.raises(InvalidInput, match="HS-orthogonal"):
+        MeasurementSet((x, z, x + z), "observable_basis")
+
+
 def test_measurement_set_completeness_check():
     good = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     MeasurementSet(tuple(good))
