@@ -42,7 +42,7 @@ from .errors import (
     TooLargeScenario,
     UnsupportedOutcomes,
 )
-from .mathcore import MeasurementSet, QuantumState, as_rng, kron
+from .mathcore import MeasurementSet, QuantumState, as_rng, config_number, kron
 
 ENUMERATION_GUARD = 10**8
 OPTIMIZER_STRATEGY_GUARD = 2 * 10**5  # dense strategy matrix rows the optimizer tolerates
@@ -710,7 +710,7 @@ def _array_to_keyed_table(arr: np.ndarray) -> dict:
 def counts_from_dict(obj: dict) -> CountsTable:
     """Parse {"m", "d", "counts": {"x,y": [[...]], ...}}."""
     try:
-        m, d = int(obj["m"]), int(obj["d"])
+        m, d = config_number(obj["m"], int, "'m'"), config_number(obj["d"], int, "'d'")
         entries = obj["counts"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed counts file: {exc}") from exc
@@ -728,7 +728,7 @@ def counts_to_dict(counts: CountsTable) -> dict:
 def behavior_from_dict(obj: dict) -> BehaviorTable:
     """Parse {"m", "d", "behavior": {"x,y": [[...]], ...}}."""
     try:
-        m, d = int(obj["m"]), int(obj["d"])
+        m, d = config_number(obj["m"], int, "'m'"), config_number(obj["d"], int, "'d'")
         entries = obj["behavior"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed behavior file: {exc}") from exc
@@ -746,7 +746,7 @@ def behavior_to_dict(behavior: BehaviorTable) -> dict:
 def inequality_from_dict(obj: dict) -> BellInequality:
     """Parse {"m", "d", "joint", "marg_a", "marg_b", "bound"} coefficient arrays."""
     try:
-        m, d = int(obj["m"]), int(obj["d"])
+        m, d = config_number(obj["m"], int, "'m'"), config_number(obj["d"], int, "'d'")
         joint = np.asarray(obj["joint"], dtype=float)
         marg_a = np.asarray(obj["marg_a"], dtype=float)
         marg_b = np.asarray(obj["marg_b"], dtype=float)

@@ -29,7 +29,7 @@ import click
 
 from . import __version__, bell, qmp, qse
 from .errors import DegenerateIterate, NotConverged, NotViolatedAtAnyEfficiency, QopError
-from .mathcore import fidelity, load_ref, matrix_to_dict
+from .mathcore import config_number, fidelity, load_ref, matrix_to_dict
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -109,17 +109,10 @@ _REQUIRED = object()
 
 
 def _number(cfg, key: str, kind, default=_REQUIRED):
-    """Config entry converted by kind (int or float); absent or non-finite is bad input."""
+    """Config entry as kind (int or float), by mathcore.config_number; absent is bad input."""
     if default is _REQUIRED and key not in cfg:
         raise QopError(f"config is missing {key!r}")
-    raw = cfg.get(key, default)
-    try:
-        value = kind(raw)
-        if math.isfinite(value):
-            return value
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise QopError(f"config entry {key!r} must be a finite number, got {json.dumps(raw)}")
+    return config_number(cfg.get(key, default), kind, f"config entry {key!r}")
 
 
 def _flag(cfg, key: str, default: bool) -> bool:
@@ -135,16 +128,21 @@ def _integers(cfg, key: str, count=None) -> list[int]:
     raw = cfg.get(key)
     if isinstance(raw, list) and count in (None, len(raw)):
         try:
-            return [int(v) for v in raw]
-        except (TypeError, ValueError, OverflowError):
+            return [config_number(v, int, key) for v in raw]
+        except QopError:
             pass
     what = "a list of integers" if count is None else f"a list of {count} integers"
     raise QopError(f"config entry {key!r} must be {what}, got {json.dumps(raw)}")
 
 
 def _schedule(raw) -> qmp.HalpernSchedule:
-    """Damping schedule from its config object; keys must name HalpernSchedule fields."""
-    known = [f.name for f in dataclasses.fields(qmp.HalpernSchedule)]
+    """Damping schedule from its config object; keys must name HalpernSchedule fields.
+
+    alpha is a field but cancels out of the iteration, so a config that sets it is refused.
+    """
+    known = [f.name for f in dataclasses.fields(qmp.HalpernSchedule) if f.name != "alpha"]
+    if isinstance(raw, dict) and "alpha" in raw:
+        raise QopError("'schedule' key 'alpha' has no effect on the damped iteration; remove it")
     if not isinstance(raw, dict) or not set(raw) <= set(known):
         raise QopError(f"'schedule' must be an object with keys among {known}, got {json.dumps(raw)}")
     return qmp.HalpernSchedule(**{k: _number(raw, k, float) for k in raw})

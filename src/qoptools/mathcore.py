@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -149,6 +150,9 @@ class MeasurementSet:
     the columns j with outcomes[j] == k, so a rank-r projector is r
     columns sharing one index.  `from_basis` takes V directly; the
     constructor takes the projectors and diagonalizes them once.
+    A Pauli product basis from `pauli_product_bases` records its
+    `letters` instead, one per qubit (0, 1, 2 for the x, y, z
+    eigenbasis), and builds V on the first read of `basis` or `effects`.
     POVM: PSD effects summing to identity.
     OBSERVABLE_BASIS: Hermitian operators, pairwise orthogonal in the
     Hilbert-Schmidt inner product (targets are expectation values, so
@@ -158,8 +162,10 @@ class MeasurementSet:
 
     kind: MeasurementKind
     labels: tuple[str, ...] | None
-    basis: np.ndarray | None
     outcomes: np.ndarray | None
+    letters: tuple[int, ...] | None
+    _count: int = field(repr=False)
+    _basis: np.ndarray | None = field(repr=False)
     _stack: np.ndarray | None = field(repr=False)
 
     def __init__(self, effects, kind=MeasurementKind.PVM, labels=None):
@@ -201,7 +207,7 @@ class MeasurementSet:
         out._store(MeasurementKind.PVM, labels, count, basis=v, outcomes=g)
         return out
 
-    def _store(self, kind, labels, count, basis=None, outcomes=None, stack=None):
+    def _store(self, kind, labels, count, basis=None, outcomes=None, stack=None, letters=None):
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != count:
@@ -209,27 +215,38 @@ class MeasurementSet:
         for arr in (basis, outcomes, stack):
             if arr is not None:
                 arr.flags.writeable = False
-        for name, value in (("kind", kind), ("labels", labels), ("basis", basis),
-                            ("outcomes", outcomes), ("_stack", stack)):
+        for name, value in (("kind", kind), ("labels", labels), ("outcomes", outcomes),
+                            ("letters", letters), ("_count", count), ("_basis", basis),
+                            ("_stack", stack)):
             object.__setattr__(self, name, value)
+
+    @property
+    def basis(self) -> np.ndarray | None:
+        """The read-only basis unitary of a PVM, None for other kinds."""
+        if self._basis is None and self.letters is not None:
+            v = kron(*(_PAULI_EIGENVECTORS[c] for c in self.letters))
+            v.flags.writeable = False
+            object.__setattr__(self, "_basis", v)
+        return self._basis
 
     @property
     def effects(self) -> np.ndarray:
         """The effects as a read-only (K, D, D) stack; derived from the basis for a PVM."""
         if self._stack is not None:
             return self._stack
+        v = self.basis
         onehot = np.arange(len(self))[:, None] == self.outcomes
-        out = (self.basis * onehot[:, None, :]) @ self.basis.conj().T
+        out = (v * onehot[:, None, :]) @ v.conj().T
         out.flags.writeable = False
         return out
 
     def __len__(self) -> int:
-        if self._stack is not None:
-            return self._stack.shape[0]
-        return int(self.outcomes.max()) + 1
+        return self._count
 
     @property
     def dim(self) -> int:
+        if self.letters is not None:
+            return 2 ** len(self.letters)
         return (self.basis if self._stack is None else self._stack).shape[-1]
 
 
@@ -512,21 +529,33 @@ def qubit_mub_bases(n: int) -> list[MeasurementSet]:
     return [MeasurementSet.from_basis(v) for v in columns]
 
 
+_S2 = 1.0 / np.sqrt(2.0)
+# columns: the +1 then the -1 eigenvector of X, Y and Z, indexed by Pauli letter
+_PAULI_EIGENVECTORS = (
+    np.array([[_S2, _S2], [_S2, -_S2]], dtype=complex),
+    np.array([[_S2, _S2], [1j * _S2, -1j * _S2]], dtype=complex),
+    np.eye(2, dtype=complex),
+)
+
+
 def pauli_product_bases(n: int) -> list[MeasurementSet]:
-    """All 3^n product bases of single-qubit Pauli eigenvectors (x, y, z)."""
+    """All 3^n product bases of single-qubit Pauli eigenvectors (x, y, z).
+
+    Basis c in `np.ndindex(3, ..., 3)` order records its letters c and has
+    the unitary kron(u[c_0], ..., u[c_n-1]), u[c] the eigenvectors of
+    Pauli letter c; it is built, exactly and unchecked, on first read.
+    """
     n = int(n)
     if n < 1:
         raise InvalidInput("need at least one qubit")
-    s2 = 1.0 / np.sqrt(2.0)
-    single = [
-        np.array([[s2, s2], [s2, -s2]], dtype=complex),          # x eigenvectors
-        np.array([[s2, s2], [1j * s2, -1j * s2]], dtype=complex),  # y
-        np.eye(2, dtype=complex),                                  # z
-    ]
-    return [
-        MeasurementSet.from_basis(kron(*(single[c] for c in combo)))
-        for combo in np.ndindex(*(3,) * n)
-    ]
+    d = 2**n
+    outcomes = np.arange(d)
+    out = []
+    for letters in np.ndindex(*(3,) * n):
+        meas = MeasurementSet.__new__(MeasurementSet)
+        meas._store(MeasurementKind.PVM, None, d, outcomes=outcomes, letters=letters)
+        out.append(meas)
+    return out
 
 
 def matrix_to_dict(m: np.ndarray) -> dict:
@@ -547,6 +576,23 @@ def matrix_from_dict(obj: dict) -> np.ndarray:
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
         raise InvalidInput("matrix entries must be finite")
     return re + 1j * im
+
+
+def config_number(raw, kind, what: str):
+    """A config value as kind (int or float): a finite JSON number, integral for int.
+
+    Booleans and strings are refused, and so is 2.5 for an int, which
+    int() would truncate; the InvalidInput message names `what`.
+    """
+    try:
+        if isinstance(raw, numbers.Real) and not isinstance(raw, bool):
+            value = kind(raw)
+            if math.isfinite(value) and (kind is float or value == raw):
+                return value
+    except (ValueError, OverflowError):
+        pass
+    need = "an integer" if kind is int else "a finite number"
+    raise InvalidInput(f"{what} must be {need}, got {json.dumps(raw, default=repr)}")
 
 
 def load_ref(raw, base_dir, parse):

@@ -40,6 +40,7 @@ from .mathcore import (
     _complement_diagonal,
     as_rng,
     check_hermitian,
+    config_number,
     eigh,
     hermitize,
     hs_distance,
@@ -635,14 +636,17 @@ def problem_from_dict(obj: dict, base_dir=None) -> tuple[MarginalSpec, SpectralC
     holding one, or the token "maximally-mixed".
     """
     try:
-        n = int(obj["N"])
-        d = int(obj["d"])
+        n = config_number(obj["N"], int, "'N'")
+        d = config_number(obj["d"], int, "'d'")
         raw_targets = [
-            (tuple(int(i) for i in entry["subset"]), entry["state"]) for entry in obj["targets"]
+            (tuple(config_number(i, int, "a subset entry") for i in entry["subset"]),
+             entry["state"])
+            for entry in obj["targets"]
         ]
         raw_constraint = obj["constraint"]
         if "rank" in raw_constraint:
-            constraint = SpectralConstraint.with_rank(int(raw_constraint["rank"]))
+            constraint = SpectralConstraint.with_rank(
+                config_number(raw_constraint["rank"], int, "'rank'"))
         elif "spectra" in raw_constraint:
             constraint = SpectralConstraint.with_spectrum(raw_constraint["spectra"])
         else:

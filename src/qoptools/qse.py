@@ -25,6 +25,7 @@ from .mathcore import (
     QuantumState,
     as_rng,
     check_hermitian,
+    config_number,
     eigh,
     fidelity,
     hermitize,
@@ -98,19 +99,24 @@ class EstimationProblem:
             raise InvalidInput("one frequency vector per measurement set required")
         if not meas:
             raise InvalidInput("at least one measurement set required")
-        for a, f in zip(meas, freqs):
-            if f.shape != (len(a),):
-                raise InvalidInput("frequency vector length does not match effect count")
-            if not np.all(np.isfinite(f)):
-                raise InvalidInput("frequencies must be finite")
-            if a.kind is MeasurementKind.OBSERVABLE_BASIS:
-                if np.any(np.abs(f) > 1 + 1e-12):
-                    raise InvalidInput("expectation targets must lie in [-1, 1]")
-            else:
-                if np.any(f < -1e-12):
-                    raise InvalidInput("frequencies must be nonnegative")
-                if a.kind is MeasurementKind.PVM and abs(f.sum() - 1.0) > 1e-9:
-                    raise InvalidInput("PVM frequencies must sum to 1 within 1e-9")
+        if any(f.shape != (len(a),) for a, f in zip(meas, freqs)):
+            raise InvalidInput("frequency vector length does not match effect count")
+        # one check per kind over all of its sets at once: a Pauli protocol has 3^n of them
+        of_kind = {kind: [f for a, f in zip(meas, freqs) if a.kind is kind]
+                   for kind in MeasurementKind}
+        if not np.all(np.isfinite(np.concatenate(freqs))):
+            raise InvalidInput("frequencies must be finite")
+        expectations = of_kind[MeasurementKind.OBSERVABLE_BASIS]
+        if expectations and np.any(np.abs(np.concatenate(expectations)) > 1 + 1e-12):
+            raise InvalidInput("expectation targets must lie in [-1, 1]")
+        pvms = of_kind[MeasurementKind.PVM]
+        probabilities = pvms + of_kind[MeasurementKind.POVM]
+        if probabilities and np.any(np.concatenate(probabilities) < -1e-12):
+            raise InvalidInput("frequencies must be nonnegative")
+        if pvms:
+            starts = np.cumsum([0] + [f.size for f in pvms[:-1]])
+            if np.any(np.abs(np.add.reduceat(np.concatenate(pvms), starts) - 1.0) > 1e-9):
+                raise InvalidInput("PVM frequencies must sum to 1 within 1e-9")
         if not 0.0 <= float(self.accuracy) <= 1.0:
             raise InvalidInput("accuracy must lie in [0, 1]")
         if int(self.max_iterations) < 1:
@@ -187,31 +193,134 @@ def estimate(problem: EstimationProblem) -> EstimationResult:
     Runs until one full pass moves the iterate by at most the requested
     accuracy (Hilbert-Schmidt distance) or the iteration cap is hit, in
     which case the result carries converged=False.  The raw limit is
-    projected onto the density matrices before returning.
+    projected onto the density matrices before returning.  When every
+    set is a Pauli product basis the passes run in Pauli coordinates.
     """
-    d = problem.measurements[0].dim
-    for a in problem.measurements:
-        if a.dim != d:
-            raise InvalidInput("measurement sets act on different dimensions")
-    rho = np.eye(d, dtype=complex) / d
+    frame = _PauliFrame.of(problem.measurements)
+    if frame is None:
+        d = problem.measurements[0].dim
+        for a in problem.measurements:
+            if a.dim != d:
+                raise InvalidInput("measurement sets act on different dimensions")
+        x = np.eye(d, dtype=complex) / d
+
+        def one_pass(rho):
+            for meas, freq in zip(problem.measurements, problem.frequencies):
+                rho = _impose_set(rho, meas, freq)
+            return rho
+
+        distance, matrix = hs_distance, np.asarray
+    else:
+        x = frame.coordinates(np.eye(2**frame.n) / 2**frame.n)
+
+        def one_pass(r):
+            return frame.impose(r, problem.frequencies)
+
+        distance, matrix = frame.distance, frame.matrix
     iterations = 0
     residual = math.inf
     converged = False
     while iterations < problem.max_iterations:
-        prev = rho
-        for meas, freq in zip(problem.measurements, problem.frequencies):
-            rho = _impose_set(rho, meas, freq)
+        prev, x = x, one_pass(x)
         iterations += 1
-        residual = hs_distance(rho, prev)
+        residual = distance(x, prev)
         if residual <= problem.accuracy:
             converged = True
             break
     return EstimationResult(
-        state=nearest_density_matrix(rho),
+        state=nearest_density_matrix(matrix(x)),
         iterations=iterations,
         residual=float(residual),
         converged=converged,
     )
+
+
+# Pauli coordinates of an n-qubit operator: rho = sum_s r_s sigma_s / D over the 4^n
+# Pauli strings s, with r_s = Tr(rho sigma_s) real for Hermitian rho and r_I = Tr(rho).
+# String s has Pauli s_i (0..3 for I, X, Y, Z) on qubit i and flat index
+# sum_i s_i 4^(n-1-i); Pauli letter c (0, 1, 2 for x, y, z) is Pauli c + 1.
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _sitewise(m: np.ndarray, vec: np.ndarray, n: int) -> np.ndarray:
+    """Apply the 4x4 matrix m to each of the n base-4 digits of vec's index.
+
+    Each step acts on the leading digit and rotates it to the back, so n
+    steps restore the digit order.
+    """
+    for _ in range(n):
+        vec = (m @ vec.reshape(4, -1)).T.ravel()
+    return vec
+
+
+def _interleaving(n: int) -> np.ndarray:
+    """Axis order (row 0, column 0, row 1, column 1, ...) of an n-qubit matrix's (2,)*2n view."""
+    return np.arange(2 * n).reshape(2, n).T.ravel()
+
+
+@dataclass(frozen=True, eq=False)
+class _PauliFrame:
+    """Pauli product bases on n qubits, worked in Pauli coordinates.
+
+    Outcome k of basis c projects onto the eigenvalue (-1)^k_i of its
+    letter at qubit i (bits k_i from qubit 0 down), so its probability is
+    (H g)_k / D: H = H_2^(x)n with H_2 = [[1, 1], [1, -1]], and g_b = r of
+    the string with letter c_i where bit b_i is 1 and I elsewhere.
+    `strings[j]` holds the flat indices of those strings for basis j.
+    """
+
+    n: int
+    strings: np.ndarray  # (bases, D)
+    hadamard: np.ndarray  # (D, D), symmetric, H @ H = D I
+
+    @classmethod
+    def of(cls, measurements: Sequence[MeasurementSet]) -> "_PauliFrame | None":
+        """The frame of the given sets when every one records Pauli letters, else None."""
+        letters = [m.letters for m in measurements]
+        if any(c is None for c in letters):
+            return None
+        n = len(letters[0])
+        if any(len(c) != n for c in letters):
+            raise InvalidInput("measurement sets act on different dimensions")
+        bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # (D, n)
+        place = 4 ** np.arange(n - 1, -1, -1)
+        strings = ((np.asarray(letters) + 1) * place) @ bits.T
+        hadamard = 1.0 - 2.0 * ((bits @ bits.T) & 1)
+        return cls(n, strings, hadamard)
+
+    def coordinates(self, rho: np.ndarray) -> np.ndarray:
+        """r_s = Tr(rho sigma_s) for every string s: sum_ij rho_ij (sigma_s)_ji site by site."""
+        n = self.n
+        if rho.shape != (2**n, 2**n):
+            raise InvalidInput("state and effect dimensions differ")
+        vec = rho.reshape((2,) * (2 * n)).transpose(_interleaving(n)).ravel()
+        return _sitewise(_PAULIS.transpose(0, 2, 1).reshape(4, 4), vec, n).real
+
+    def matrix(self, r: np.ndarray) -> np.ndarray:
+        """The dense matrix sum_s r_s sigma_s / D."""
+        n, d = self.n, 2**self.n
+        vec = _sitewise(_PAULIS.reshape(4, 4).T, r, n) / d
+        return vec.reshape((2,) * (2 * n)).transpose(np.argsort(_interleaving(n))).reshape(d, d)
+
+    def distance(self, r: np.ndarray, s: np.ndarray) -> float:
+        """Hilbert-Schmidt distance of the operators with coordinates r and s."""
+        return math.sqrt(float(np.sum((r - s) ** 2)) / 2**self.n)
+
+    def probabilities(self, r: np.ndarray) -> np.ndarray:
+        """(bases, D) table of outcome probabilities of the operator with coordinates r."""
+        return r[self.strings] @ self.hadamard / 2**self.n
+
+    def impose(self, r: np.ndarray, frequencies) -> np.ndarray:
+        """One pass imposing every basis in turn, as `impose_pvm` does densely.
+
+        Imposing basis c on frequencies f moves only its strings:
+        g <- g + H (f - H g / D) is rho + sum_k (f_k - p_k) P_k in coordinates.
+        """
+        r, d = r.copy(), 2**self.n
+        for strings, freq in zip(self.strings, frequencies):
+            g = r[strings]
+            r[strings] = g + self.hadamard @ (freq - self.hadamard @ g / d)
+        return r
 
 
 def nearest_density_matrix(rho: np.ndarray) -> QuantumState:
@@ -237,9 +346,13 @@ def nearest_density_matrix(rho: np.ndarray) -> QuantumState:
 def born_probabilities(state, meas: MeasurementSet) -> np.ndarray:
     """Expectation of every effect in the set (real parts).
 
-    A PVM reads them off the diagonal of V†ρV, summed per outcome.
+    A PVM reads them off the diagonal of V†ρV, summed per outcome; a
+    Pauli product basis reads them from the Pauli coordinates of ρ.
     """
     mat = state.matrix if isinstance(state, QuantumState) else np.asarray(state, dtype=complex)
+    frame = _PauliFrame.of([meas])
+    if frame is not None:
+        return frame.probabilities(frame.coordinates(mat))[0]
     if meas.kind is MeasurementKind.PVM:
         return _pvm_expectations(mat, meas)
     return np.einsum("kij,ji->k", meas.effects, mat).real
@@ -258,11 +371,23 @@ def simulate_frequencies(
     independent Poisson counts per outcome, normalized by the realized
     total.  Observable-expectation sets only support the exact mode;
     their entries are expectation values, not outcome probabilities.
+    Pauli product bases are read out all at once from the Pauli
+    coordinates, and their counts drawn by one Poisson call, in the
+    order of the sets and outcomes.
     """
     rng = as_rng(rng)
     d = rho_gen.dim
     lam = noise.white_noise
     noisy = (1.0 - lam) * rho_gen.matrix + lam * np.eye(d) / d
+    frame = _PauliFrame.of(measurements)
+    if frame is not None:
+        probs = np.clip(frame.probabilities(frame.coordinates(noisy)), 0.0, None)
+        if noise.samples_per_basis is None:
+            return list(probs)
+        counts = rng.poisson(noise.samples_per_basis * probs).astype(float)
+        totals = counts.sum(axis=1, keepdims=True)
+        # a row without counts falls back to uniform, as below
+        return list(np.divide(counts, totals, out=np.full_like(counts, 1.0 / d), where=totals > 0))
     out = []
     for meas in measurements:
         values = born_probabilities(noisy, meas)
@@ -400,11 +525,12 @@ def estimation_problem_from_dict(obj: dict, base_dir=None):
         raw_meas = obj["measurements"]
         frequencies = [np.asarray(f, dtype=float) for f in obj["frequencies"]]
         if isinstance(raw_meas, dict):
-            qubits, protocol = int(raw_meas["qubits"]), raw_meas["protocol"]
+            qubits = config_number(raw_meas["qubits"], int, "'qubits'")
+            protocol = raw_meas["protocol"]
         else:
             raw_sets = [(entry.get("kind", "pvm"), list(entry["effects"])) for entry in raw_meas]
-        accuracy = float(obj.get("epsilon", 1e-10))
-        max_iterations = int(obj.get("max_iters", 10_000))
+        accuracy = config_number(obj.get("epsilon", 1e-10), float, "'epsilon'")
+        max_iterations = config_number(obj.get("max_iters", 10_000), int, "'max_iters'")
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed problem file: {exc}") from exc
     if isinstance(raw_meas, dict):

@@ -311,18 +311,37 @@ def test_qmp_sweep_threads_invariant(tmp_path):
 
 
 def test_reruns_are_byte_identical(tmp_path):
-    for command, config in [("bell-lhv", "bell_lhv_chsh.json"),
-                            ("bell-optimize", "bell_optimize_chsh.json"),
-                            ("qmp-solve", "qmp_solve_pure3.json"),
-                            ("qse-benchmark", "qse_benchmark_mub1.json")]:
+    pauli3 = tmp_path / "pauli3.json"
+    pauli3.write_text(json.dumps({"protocol": "pauli", "qubits": 3, "trials": 3}))
+    for command, config in [("bell-lhv", cfg("bell_lhv_chsh.json")),
+                            ("bell-optimize", cfg("bell_optimize_chsh.json")),
+                            ("qmp-solve", cfg("qmp_solve_pure3.json")),
+                            ("qse-benchmark", cfg("qse_benchmark_mub1.json")),
+                            ("qse-benchmark", str(pauli3))]:
         blobs = []
         for name in ("a", "b"):
-            out = str(tmp_path / command / name)
-            proc = run_cli(command, "--config", cfg(config), "--out", out, "--seed", "0")
+            out = str(tmp_path / "out" / os.path.basename(config) / name)
+            proc = run_cli(command, "--config", config, "--out", out, "--seed", "0")
             assert proc.returncode == 0
             with open(os.path.join(out, "result.json"), "rb") as fh:
                 blobs.append(fh.read())
-        assert blobs[0] == blobs[1], command
+        assert blobs[0] == blobs[1], config
+
+
+def test_pauli_benchmark_at_eight_qubits_stays_small(tmp_path):
+    # dense bases alone would take 3^8 * 2^8 * 2^8 * 16 bytes = 6.9 GB; measured from a
+    # fresh parent process, whose only child is the CLI run
+    config = tmp_path / "pauli8.json"
+    config.write_text(json.dumps({"protocol": "pauli", "qubits": 8, "trials": 2}))
+    measure = ("import resource, subprocess, sys\n"
+               "code = subprocess.run(sys.argv[1:]).returncode\n"
+               "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    proc = launch([sys.executable, "-c", measure, sys.executable, "-m", "qoptools",
+                   "qse-benchmark", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert proc.returncode == 0, proc.stderr
+    code, max_rss_kb = map(int, proc.stdout.split()[-2:])
+    assert code == 0, proc.stderr
+    assert max_rss_kb < 300 * 1024
 
 
 @pytest.mark.parametrize("name", sorted(n for n in os.listdir(CONFIGS) if config_command(n)))
@@ -429,6 +448,26 @@ def test_wrong_schema_exits_one(tmp_path, outdir):
         ("qmp-solve", {**pure3, "identity_seed": "false"}),
         ("bell-efficiency", {"inequality": chsh, "behavior": nan_behavior, "mode": "asymmetricB1"}),
         ("bell-efficiency", {"inequality": chsh, "behavior": nan_behavior, "mode": "symmetric"}),
+        # integer entries are JSON integers (or integral floats), never truncated or coerced
+        ("qse-benchmark", {"protocol": "pauli", "qubits": 2.5, "trials": 2}),
+        ("qse-benchmark", {"protocol": "pauli", "qubits": "3", "trials": 2}),
+        ("qse-benchmark", {"protocol": "pauli", "qubits": True, "trials": 2}),
+        ("qse-benchmark", {"protocol": "mub", "qubits": 1, "trials": 2.5}),
+        ("qse-estimate", {**mub1, "max_iters": 2.5}),
+        ("qse-estimate", {**mub1, "max_iters": "3"}),
+        ("qse-estimate", {**mub1, "max_iters": True}),
+        ("qse-estimate", {**mub1, "measurements": {"protocol": "mub", "qubits": 1.5}}),
+        ("qse-estimate", {**mub1, "measurements": {"protocol": "mub", "qubits": "1"}}),
+        ("qse-estimate", {**mub1, "measurements": {"protocol": "mub", "qubits": True}}),
+        ("qmp-solve", {**pure3, "max_iterations": 2.5}),
+        ("qmp-solve", {**pure3, "N": 3.5}),
+        ("bell-lhv", {"inequality": {**chsh, "m": 2.5}}),
+        ("bell-efficiency", {"inequality": chsh, "behavior": {**read_json(cfg("chsh_behavior.json")),
+                                                              "d": "2"}}),
+        ("qmp-solve", {**pure3, "constraint": {"rank": True}}),
+        ("qmp-solve", {**pure3, "targets": [{**pure3["targets"][0], "subset": [0, "1"]}]}),
+        ("qmp-sweep", {**sweep, "m_values": [0, 2.5]}),
+        ("qmp-solve", {**pure3, "schedule": {"alpha": 1.0}}),  # alpha has no effect
     ]
     for i, (command, body) in enumerate(cases):
         config = tmp_path / f"wrong{i}.json"

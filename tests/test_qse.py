@@ -7,6 +7,7 @@ from qoptools.mathcore import (
     MeasurementSet,
     fidelity,
     hs_distance,
+    kron,
     mub_bases,
     pauli_product_bases,
     qubit_mub_bases,
@@ -209,6 +210,64 @@ def test_completeness_rank_values():
     assert completeness_rank(measurement_protocol(1, "pauli")) == 4
     # one basis alone only pins the diagonal in that basis
     assert completeness_rank(measurement_protocol(1, "mub")[:1]) == 2
+
+
+def _kron_pauli_bases(n):
+    """The dense unitaries of the 3^n Pauli product bases, built by kron in ndindex order."""
+    s2 = 1.0 / np.sqrt(2.0)
+    single = [
+        np.array([[s2, s2], [s2, -s2]], dtype=complex),
+        np.array([[s2, s2], [1j * s2, -1j * s2]], dtype=complex),
+        np.eye(2, dtype=complex),
+    ]
+    return [kron(*(single[c] for c in combo)) for combo in np.ndindex(*(3,) * n)]
+
+
+def _assert_pauli_path_matches_dense(lettered, unitaries, seed):
+    # the dense reference: the same bases as plain unitaries, without letters
+    dense = [MeasurementSet.from_basis(v) for v in unitaries]
+    n = len(lettered[0].letters)
+    gen = random_mixed_state((2,) * n, seed)
+    noise = NoiseModel(0.1, 100 * 2**n)
+    freqs = simulate_frequencies(gen, lettered, noise, rng=seed)
+    want = simulate_frequencies(gen, dense, noise, rng=seed)
+    for got_f, want_f in zip(freqs, want, strict=True):
+        assert np.array_equal(got_f, want_f)
+    for a, b in zip(lettered, dense):
+        assert np.abs(born_probabilities(gen, a) - born_probabilities(gen, b)).max() < 1e-12
+    got = estimate(EstimationProblem(tuple(lettered), tuple(freqs)))
+    ref = estimate(EstimationProblem(tuple(dense), tuple(want)))
+    assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
+    assert abs(got.residual - ref.residual) < 1e-12
+    assert np.abs(got.state.matrix - ref.state.matrix).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pauli_coordinates_match_the_dense_path(n):
+    lettered = pauli_product_bases(n)
+    unitaries = _kron_pauli_bases(n)
+    _assert_pauli_path_matches_dense(lettered, unitaries, seed=90 + n)
+    # read only now: the lazily built basis is the kron product, bit for bit
+    for meas, v in zip(lettered, unitaries, strict=True):
+        assert np.array_equal(meas.basis, v)
+        assert meas.dim == 2**n and len(meas) == 2**n
+
+
+def test_pauli_coordinates_take_any_subset_and_order():
+    lettered, unitaries = pauli_product_bases(3)[::-2], _kron_pauli_bases(3)[::-2]
+    _assert_pauli_path_matches_dense(lettered, unitaries, seed=96)
+
+
+def test_pauli_and_other_sets_together_take_the_dense_path():
+    rng = np.random.default_rng(97)
+    gen = random_mixed_state(2, rng)
+    mixed = pauli_product_bases(1)[:2] + mub_bases(2)[:1]
+    freqs = [born_probabilities(gen, m) for m in mixed]
+    result = estimate(EstimationProblem(tuple(mixed), tuple(freqs)))
+    assert fidelity(result.state, gen) > 1 - 1e-8
+    with pytest.raises(InvalidInput, match="different dimensions"):
+        sets = pauli_product_bases(1) + pauli_product_bases(2)
+        estimate(EstimationProblem(tuple(sets), tuple(np.full(len(m), 1 / len(m)) for m in sets)))
 
 
 @pytest.mark.parametrize("n,protocol", [(1, "mub"), (2, "mub"), (1, "pauli"), (2, "pauli")])
