@@ -42,7 +42,7 @@ from .errors import (
     TooLargeScenario,
     UnsupportedOutcomes,
 )
-from .mathcore import MeasurementSet, QuantumState, as_rng, config_number, kron
+from .mathcore import _PAULIS, MeasurementSet, QuantumState, as_rng, config_number
 
 ENUMERATION_GUARD = 10**8
 OPTIMIZER_STRATEGY_GUARD = 2 * 10**5  # dense strategy matrix rows the optimizer tolerates
@@ -202,14 +202,14 @@ class CountsTable:
         return cls(counts)
 
 
-def _unstack_coefficients(s: np.ndarray, scenario: BellScenario) -> BellInequality:
+def _unstack_coefficients(s: np.ndarray, scenario: BellScenario, bound=None) -> BellInequality:
     m, d = scenario.settings, scenario.outcomes
     nj = m * m * d * d
     nm = m * d
     joint = s[:nj].reshape(m, m, d, d)
     marg_a = s[nj:nj + nm].reshape(m, d)
     marg_b = s[nj + nm:].reshape(m, d)
-    return BellInequality(joint, marg_a, marg_b, scenario)
+    return BellInequality(joint, marg_a, marg_b, scenario, bound)
 
 
 def _assignments(m: int, d: int) -> np.ndarray:
@@ -290,26 +290,21 @@ def behavior_from_state(
     settings_a: Sequence[MeasurementSet],
     settings_b: Sequence[MeasurementSet],
 ) -> BehaviorTable:
-    """Born probabilities p(ab|xy) = Tr[rho (E_a^x o F_b^y)]."""
+    """Born probabilities p(ab|xy) = Tr[rho (E_a^x o F_b^y)], one contraction for all cells."""
     if len(settings_a) != len(settings_b) or not settings_a:
         raise InvalidInput("need equally many settings per party")
-    m = len(settings_a)
     d = len(settings_a[0])
-    da = settings_a[0].dim
-    db = settings_b[0].dim
+    if any(len(s) != d for s in (*settings_a, *settings_b)):
+        raise InvalidInput("all settings need the same outcome count")
+    da, db = settings_a[0].dim, settings_b[0].dim
+    if any(s.dim != da for s in settings_a) or any(s.dim != db for s in settings_b):
+        raise InvalidInput("each party's settings need one dimension")
     if da * db != state.dim:
         raise InvalidInput("state dimension does not factor into the settings' dims")
-    rho = state.matrix
-    table = np.empty((m, m, d, d))
-    for x, ax in enumerate(settings_a):
-        for y, by in enumerate(settings_b):
-            if len(ax) != d or len(by) != d:
-                raise InvalidInput("all settings need the same outcome count")
-            effects_a, effects_b = ax.effects, by.effects
-            for a in range(d):
-                for b in range(d):
-                    eff = kron(effects_a[a], effects_b[b])
-                    table[x, y, a, b] = float(np.trace(rho @ eff).real)
+    effects_a = np.stack([s.effects for s in settings_a])
+    effects_b = np.stack([s.effects for s in settings_b])
+    rho = state.matrix.reshape(da, db, da, db)
+    table = np.einsum("ikjl,xaji,yblk->xyab", rho, effects_a, effects_b).real
     return BehaviorTable(np.clip(table, 0.0, 1.0))
 
 
@@ -374,7 +369,9 @@ def maximize_gap(counts: CountsTable, trials: int = 20, rng=None) -> GapResult:
     once no cut is violated or the LP value is within GAP_TOL of the best
     exact ratio, or after GAP_ROUND_CAP rounds.  The returned
     upper_bound is the last LP value: upper_bound - ratio certifies how
-    far the result can be from the global maximum.
+    far the result can be from the global maximum.  The returned quantum,
+    error and classical are the Q, dQ and C the winner was scored with,
+    so ratio = (quantum - error + dm) / (classical + dm) holds exactly.
 
     A candidate counts only if its exact LHV value is >= -1e-9 and its
     ratio beats 1; otherwise the zero inequality (R = 1) is returned.
@@ -402,7 +399,7 @@ def maximize_gap(counts: CountsTable, trials: int = 20, rng=None) -> GapResult:
     bounds = [(None, None)] * n + [(0.0, 1.0 / dm), (0.0, None)]
 
     cuts = np.empty((0, n + 2))
-    best = (1.0, np.zeros(n))
+    best = (1.0, np.zeros(n), 0.0, 0.0, 0.0)  # ratio, s, C, Q, dQ of the best candidate
     for rounds in range(1, GAP_ROUND_CAP + 1):
         res = linprog(
             cost,
@@ -421,20 +418,17 @@ def maximize_gap(counts: CountsTable, trials: int = 20, rng=None) -> GapResult:
         sol = np.clip(y / tau, -1.0, 1.0)
         c = lhv_bound(_unstack_coefficients(sol, sc))
         if c >= -1e-9:  # feasible candidates only
-            value = (float(q_vec @ sol) - float(np.linalg.norm(g @ sol)) + dm) / (c + dm)
+            q, dq = float(q_vec @ sol), float(np.linalg.norm(g @ sol))
+            value = (q - dq + dm) / (c + dm)
             if value > best[0]:
-                best = (value, sol)
+                best = (value, sol, c, q, dq)
         gy = g @ y
         norm = float(np.linalg.norm(gy))
         if norm - r <= GAP_TOL or upper - best[0] <= GAP_TOL:
             break
         cuts = np.vstack([cuts, np.concatenate([gy @ g / norm, [0.0, -1.0]])])
-    ratio, sol = best
-    ineq = _unstack_coefficients(sol, sc)
-    c_final = lhv_bound(ineq)
-    ineq = BellInequality(ineq.joint, ineq.marg_a, ineq.marg_b, sc, bound=c_final)
-    q, dq = quantum_value(ineq, counts)
-    return GapResult(ineq, float(ratio), q, dq, c_final, upper, rounds)
+    ratio, sol, c, q, dq = best
+    return GapResult(_unstack_coefficients(sol, sc, bound=c), ratio, q, dq, c, upper, rounds)
 
 
 class TiltedFamily(NamedTuple):
@@ -448,10 +442,7 @@ class TiltedFamily(NamedTuple):
 
 def _qubit_basis(direction: np.ndarray) -> MeasurementSet:
     """Two-outcome PVM of (I +/- n.sigma)/2; outcome 0 is the + eigenvector."""
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]])
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    obs = direction[0] * sx + direction[1] * sy + direction[2] * sz
+    obs = direction[0] * _PAULIS[1] + direction[1] * _PAULIS[2] + direction[2] * _PAULIS[3]
     eye = np.eye(2)
     return MeasurementSet([(eye + obs) / 2, (eye - obs) / 2])
 
@@ -677,70 +668,56 @@ def chsh_inequality() -> BellInequality:
     return BellInequality(joint, marg_a, marg_b, sc, bound=0.0)
 
 
-def _keyed_table_to_array(entries: dict, m: int, d: int, what: str) -> np.ndarray:
-    """Decode the {"x,y": [[...d x d...]]} file layout into an (m,m,d,d) array."""
+def _table_from_dict(obj: dict, key: str) -> np.ndarray:
+    """Decode {"m", "d", key: {"x,y": [[...d x d...]], ...}} into an (m, m, d, d) array."""
+    try:
+        m, d = config_number(obj["m"], int, "'m'"), config_number(obj["d"], int, "'d'")
+        entries = obj[key]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInput(f"malformed {key} file: {exc}") from exc
+    if not isinstance(entries, dict):
+        raise InvalidInput(f"{key} must be an object keyed by 'x,y', got {type(entries).__name__}")
     out = np.zeros((m, m, d, d))
     seen = set()
-    for key, block in entries.items():
+    for cell, block in entries.items():
         try:
-            x, y = (int(t) for t in str(key).split(","))
+            x, y = (int(t) for t in str(cell).split(","))
         except ValueError:
-            raise InvalidInput(f"{what} key {key!r} is not of the form 'x,y'") from None
+            raise InvalidInput(f"{key} key {cell!r} is not of the form 'x,y'") from None
         if not (0 <= x < m and 0 <= y < m):
-            raise InvalidInput(f"{what} key {key!r} outside {m} settings")
+            raise InvalidInput(f"{key} key {cell!r} outside {m} settings")
         arr = np.asarray(block, dtype=float)
         if arr.shape != (d, d):
-            raise InvalidInput(f"{what} block {key!r} has shape {arr.shape}, expected ({d}, {d})")
+            raise InvalidInput(f"{key} block {cell!r} has shape {arr.shape}, expected ({d}, {d})")
         out[x, y] = arr
         seen.add((x, y))
     if len(seen) != m * m:
-        raise InvalidInput(f"{what} must cover all {m*m} setting pairs")
+        raise InvalidInput(f"{key} must cover all {m*m} setting pairs")
     return out
 
 
-def _array_to_keyed_table(arr: np.ndarray) -> dict:
-    m = arr.shape[0]
-    return {
-        f"{x},{y}": [[float(v) for v in row] for row in arr[x, y]]
-        for x in range(m)
-        for y in range(m)
-    }
+def _table_to_dict(arr: np.ndarray, key: str) -> dict:
+    """Encode an (m, m, d, d) array as {"m", "d", key: {"x,y": [[...]], ...}}."""
+    m, d = arr.shape[0], arr.shape[2]
+    return {"m": m, "d": d, key: {f"{x},{y}": arr[x, y].tolist() for x, y in np.ndindex(m, m)}}
 
 
 def counts_from_dict(obj: dict) -> CountsTable:
     """Parse {"m", "d", "counts": {"x,y": [[...]], ...}}."""
-    try:
-        m, d = config_number(obj["m"], int, "'m'"), config_number(obj["d"], int, "'d'")
-        entries = obj["counts"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInput(f"malformed counts file: {exc}") from exc
-    return CountsTable(_keyed_table_to_array(entries, m, d, "counts"))
+    return CountsTable(_table_from_dict(obj, "counts"))
 
 
 def counts_to_dict(counts: CountsTable) -> dict:
-    return {
-        "m": counts.settings,
-        "d": counts.outcomes,
-        "counts": _array_to_keyed_table(counts.counts),
-    }
+    return _table_to_dict(counts.counts, "counts")
 
 
 def behavior_from_dict(obj: dict) -> BehaviorTable:
     """Parse {"m", "d", "behavior": {"x,y": [[...]], ...}}."""
-    try:
-        m, d = config_number(obj["m"], int, "'m'"), config_number(obj["d"], int, "'d'")
-        entries = obj["behavior"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInput(f"malformed behavior file: {exc}") from exc
-    return BehaviorTable(_keyed_table_to_array(entries, m, d, "behavior"))
+    return BehaviorTable(_table_from_dict(obj, "behavior"))
 
 
 def behavior_to_dict(behavior: BehaviorTable) -> dict:
-    return {
-        "m": behavior.table.shape[0],
-        "d": behavior.table.shape[2],
-        "behavior": _array_to_keyed_table(behavior.table),
-    }
+    return _table_to_dict(behavior.table, "behavior")
 
 
 def inequality_from_dict(obj: dict) -> BellInequality:

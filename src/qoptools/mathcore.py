@@ -161,19 +161,18 @@ class MeasurementSet:
     """
 
     kind: MeasurementKind
-    labels: tuple[str, ...] | None
     outcomes: np.ndarray | None
     letters: tuple[int, ...] | None
     _count: int = field(repr=False)
     _basis: np.ndarray | None = field(repr=False)
     _stack: np.ndarray | None = field(repr=False)
 
-    def __init__(self, effects, kind=MeasurementKind.PVM, labels=None):
+    def __init__(self, effects, kind=MeasurementKind.PVM):
         kind = MeasurementKind.coerce(kind)
         arr = np.stack([check_hermitian(e) for e in effects])
         if kind is MeasurementKind.PVM:
             basis, outcomes = _projector_basis(arr)
-            self._store(kind, labels, len(arr), basis=basis, outcomes=outcomes)
+            self._store(kind, len(arr), basis=basis, outcomes=outcomes)
             return
         if kind is MeasurementKind.POVM:
             _check_complete(arr, np.linalg.eigvalsh(arr))
@@ -181,10 +180,10 @@ class MeasurementSet:
             gram = np.einsum("aij,bji->ab", arr, arr)  # Tr(E_a E_b)
             if np.any(np.abs(gram - np.diag(np.diag(gram))) > 1e-8):
                 raise InvalidInput("observables are not HS-orthogonal")
-        self._store(kind, labels, len(arr), stack=arr)
+        self._store(kind, len(arr), stack=arr)
 
     @classmethod
-    def from_basis(cls, basis, outcomes=None, labels=None) -> "MeasurementSet":
+    def from_basis(cls, basis, outcomes=None) -> "MeasurementSet":
         """PVM in which column j of the unitary `basis` belongs to outcome outcomes[j].
 
         outcomes defaults to one outcome per column (rank-one projectors);
@@ -204,20 +203,15 @@ class MeasurementSet:
         if np.any(np.bincount(g, minlength=count) == 0):
             raise InvalidInput("every outcome up to the largest index needs a basis column")
         out = cls.__new__(cls)
-        out._store(MeasurementKind.PVM, labels, count, basis=v, outcomes=g)
+        out._store(MeasurementKind.PVM, count, basis=v, outcomes=g)
         return out
 
-    def _store(self, kind, labels, count, basis=None, outcomes=None, stack=None, letters=None):
-        if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != count:
-                raise InvalidInput("labels length does not match effects")
+    def _store(self, kind, count, basis=None, outcomes=None, stack=None, letters=None):
         for arr in (basis, outcomes, stack):
             if arr is not None:
                 arr.flags.writeable = False
-        for name, value in (("kind", kind), ("labels", labels), ("outcomes", outcomes),
-                            ("letters", letters), ("_count", count), ("_basis", basis),
-                            ("_stack", stack)):
+        for name, value in (("kind", kind), ("outcomes", outcomes), ("letters", letters),
+                            ("_count", count), ("_basis", basis), ("_stack", stack)):
             object.__setattr__(self, name, value)
 
     @property
@@ -429,11 +423,11 @@ def mub_bases(d: int) -> list[MeasurementSet]:
     return [MeasurementSet.from_basis(v) for v in columns]
 
 
-def _assert_unbiased(columns: list[np.ndarray], d: int, tol: float = 1e-9) -> None:
+def _assert_unbiased(columns: list[np.ndarray], d: int) -> None:
     for i in range(len(columns)):
         for j in range(i):
             ov = np.abs(columns[i].conj().T @ columns[j]) ** 2
-            if np.max(np.abs(ov - 1.0 / d)) > tol:
+            if np.max(np.abs(ov - 1.0 / d)) > 1e-9:
                 raise InvalidInput("constructed bases are not mutually unbiased")
 
 
@@ -464,15 +458,13 @@ def _gf_trace(a: int, n: int) -> int:
 
 def _pauli_string(a: tuple[int, ...], b: tuple[int, ...]) -> np.ndarray:
     """Hermitian n-qubit Weyl operator for X-part a and Z-part b."""
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
     factors = []
     for ai, bi in zip(a, b):
-        f = np.eye(2, dtype=complex)
+        f = _PAULIS[0]
         if ai:
-            f = f @ sx
+            f = f @ _PAULIS[1]
         if bi:
-            f = f @ sz
+            f = f @ _PAULIS[3]
         factors.append(f)
     w = kron(*factors)
     if sum(ai & bi for ai, bi in zip(a, b)) % 2:
@@ -529,6 +521,9 @@ def qubit_mub_bases(n: int) -> list[MeasurementSet]:
     return [MeasurementSet.from_basis(v) for v in columns]
 
 
+# the Pauli matrices I, X, Y, Z, in that order along the first axis
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULIS.flags.writeable = False
 _S2 = 1.0 / np.sqrt(2.0)
 # columns: the +1 then the -1 eigenvector of X, Y and Z, indexed by Pauli letter
 _PAULI_EIGENVECTORS = (
@@ -553,7 +548,7 @@ def pauli_product_bases(n: int) -> list[MeasurementSet]:
     out = []
     for letters in np.ndindex(*(3,) * n):
         meas = MeasurementSet.__new__(MeasurementSet)
-        meas._store(MeasurementKind.PVM, None, d, outcomes=outcomes, letters=letters)
+        meas._store(MeasurementKind.PVM, d, outcomes=outcomes, letters=letters)
         out.append(meas)
     return out
 

@@ -424,6 +424,8 @@ def _iterate(spec, constraint, accuracy, max_iterations, seed_mat, sweep):
     """
     if not (math.isfinite(accuracy) and accuracy > 0):
         raise InvalidInput("accuracy must be a positive finite number")
+    if not spec.targets:
+        raise InvalidInput("the problem needs at least one target marginal")
     t0 = time.perf_counter()
     traj = _Trajectory()
     counts = {"warm_eigensteps": 0, "eigh_fallbacks": 0}
@@ -619,8 +621,8 @@ def npm_sweep(
         raise InvalidInput("trials must be positive")
     m_list = [int(m) for m in m_values]
     n_subsets = math.comb(n_parties, k)
-    if any(m < 0 or m > n_subsets for m in m_list):
-        raise InvalidInput(f"m must lie in 0..{n_subsets}")
+    if not m_list or any(m < 0 or m > n_subsets for m in m_list):
+        raise InvalidInput(f"need at least one m value, each in 0..{n_subsets}")
     streams = iter(as_rng(rng).spawn(len(m_list) * trials))
     return [
         (m, sum(_npm_trial(n_parties, k, local_dim, m, generator, next(streams))

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DegenerateEffect, InvalidInput, InvalidMeasurementKind
 from .mathcore import (
+    _PAULIS,
     MeasurementKind,
     MeasurementSet,
     QuantumState,
@@ -238,8 +239,7 @@ def estimate(problem: EstimationProblem) -> EstimationResult:
 # Pauli coordinates of an n-qubit operator: rho = sum_s r_s sigma_s / D over the 4^n
 # Pauli strings s, with r_s = Tr(rho sigma_s) real for Hermitian rho and r_I = Tr(rho).
 # String s has Pauli s_i (0..3 for I, X, Y, Z) on qubit i and flat index
-# sum_i s_i 4^(n-1-i); Pauli letter c (0, 1, 2 for x, y, z) is Pauli c + 1.
-_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# sum_i s_i 4^(n-1-i); Pauli letter c (0, 1, 2 for x, y, z) is Pauli c + 1 of _PAULIS.
 
 
 def _sitewise(m: np.ndarray, vec: np.ndarray, n: int) -> np.ndarray:

@@ -190,6 +190,18 @@ def bell_value_sum(joint, marg_a, marg_b, table):
     return total
 
 
+def born_table_kron(rho, effects_a, effects_b):
+    """p[x, y, a, b] = Tr[rho (E_a^x (x) F_b^y)], one Kronecker product and trace per cell.
+
+    effects_a[x][a] and effects_b[y][b] are the dense effect matrices.
+    """
+    m, d = len(effects_a), len(effects_a[0])
+    table = np.empty((m, m, d, d))
+    for x, y, a, b in itertools.product(range(m), range(m), range(d), range(d)):
+        table[x, y, a, b] = np.trace(rho @ np.kron(effects_a[x][a], effects_b[y][b])).real
+    return table
+
+
 def poisson_error_fd(value_fn, counts, h=1e-4):
     """Propagated count error by central finite differences.
 

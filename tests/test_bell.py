@@ -39,7 +39,7 @@ from qoptools.bell import (
     quantum_value,
     tilted_inequality,
 )
-from qoptools.mathcore import MeasurementSet, QuantumState
+from qoptools.mathcore import MeasurementSet, QuantumState, random_mixed_state
 
 import oracles
 
@@ -173,6 +173,41 @@ def test_quantum_value_of_singlet_counts():
     q, dq = quantum_value(fam.inequality, counts)
     assert abs(q - 2 * math.sqrt(2)) < 1e-9
     assert 0.0 < dq < 0.01
+
+
+def _random_unitary(dim, rng):
+    return np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+
+
+def _random_povm(dim, outcomes, rng):
+    """Random full-rank effects G_k, normalized as S^-1/2 G_k S^-1/2 with S = sum G_k."""
+    grams = [z @ z.conj().T for z in rng.normal(size=(outcomes, dim, dim))
+             + 1j * rng.normal(size=(outcomes, dim, dim))]
+    w, v = np.linalg.eigh(sum(grams))
+    root = (v / np.sqrt(w)) @ v.conj().T
+    return MeasurementSet([root @ g @ root for g in grams], "povm")
+
+
+def test_behavior_from_state_matches_per_cell_traces():
+    rng = np.random.default_rng(95)
+    # qubit x qutrit PVMs, Bob's outcome 1 a rank-2 projector
+    qubit = [MeasurementSet.from_basis(_random_unitary(2, rng)) for _ in range(3)]
+    qutrit = [MeasurementSet.from_basis(_random_unitary(3, rng), [0, 1, 1]) for _ in range(3)]
+    # qutrit x qubit three-outcome POVMs
+    povm_a = [_random_povm(3, 3, rng) for _ in range(2)]
+    povm_b = [_random_povm(2, 3, rng) for _ in range(2)]
+    for dims, sa, sb in (((2, 3), qubit, qutrit), ((3, 2), povm_a, povm_b)):
+        state = random_mixed_state(dims, rng)
+        got = behavior_from_state(state, sa, sb).table
+        want = oracles.born_table_kron(
+            state.matrix, [s.effects for s in sa], [s.effects for s in sb]
+        )
+        assert np.abs(got - want).max() <= 1e-14
+    state = random_mixed_state((2, 3), rng)
+    with pytest.raises(InvalidInput):  # Alice's settings on a qubit and a qutrit
+        behavior_from_state(state, [qubit[0], qutrit[0]], qutrit[:2])
+    with pytest.raises(InvalidInput):  # two outcomes against three
+        behavior_from_state(state, qubit[:1], [MeasurementSet.from_basis(np.eye(3))])
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0])
@@ -332,6 +367,18 @@ def test_maximize_gap_reaches_slsqp_oracle_and_certifies(m, d):
     assert ratio >= oracle_ratio - 1e-9
     assert -1e-9 <= res.upper_bound - ratio <= 1e-8
     assert 1 <= res.rounds <= bell.GAP_ROUND_CAP
+
+
+@pytest.mark.parametrize("m,d", [(2, 2), (3, 2), (2, 3)])
+def test_maximize_gap_reports_the_values_it_scored(m, d):
+    rng = np.random.default_rng(7 * m + d)
+    tables = [_random_basis_counts(m, d, 1e4, rng) for _ in range(3)]
+    tables.append(CountsTable(rng.integers(1, 5000, size=(m, m, d, d)).astype(float)))
+    dm = float(m * d)
+    for counts in tables:
+        res = maximize_gap(counts)
+        assert res.ratio == (res.quantum - res.error + dm) / (res.classical + dm)
+        assert res.classical == lhv_bound(res.inequality) == res.inequality.bound
 
 
 def test_maximize_gap_bundled_chsh_counts_ratio():

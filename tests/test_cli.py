@@ -468,6 +468,12 @@ def test_wrong_schema_exits_one(tmp_path, outdir):
         ("qmp-solve", {**pure3, "targets": [{**pure3["targets"][0], "subset": [0, "1"]}]}),
         ("qmp-sweep", {**sweep, "m_values": [0, 2.5]}),
         ("qmp-solve", {**pure3, "schedule": {"alpha": 1.0}}),  # alpha has no effect
+        # tables are objects keyed by "x,y"; targets and the m list are non-empty
+        ("bell-optimize", {"counts": {"m": 1, "d": 2, "counts": [[[1, 2], [3, 4]]]}}),
+        ("bell-efficiency", {"inequality": chsh, "behavior": {"m": 1, "d": 2,
+                                                              "behavior": [[[0.5, 0], [0, 0.5]]]}}),
+        ("qmp-solve", {**pure3, "targets": []}),
+        ("qmp-sweep", {**sweep, "m_range": [3, 1]}),
     ]
     for i, (command, body) in enumerate(cases):
         config = tmp_path / f"wrong{i}.json"

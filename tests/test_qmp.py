@@ -561,6 +561,8 @@ def test_npm_sweep_validation():
         npm_sweep(4, 2, 2, [7], trials=5, rng=0)  # only 6 two-party subsets
     with pytest.raises(InvalidInput):
         npm_sweep(4, 2, 2, [1], trials=5, generator="thermal", rng=0)
+    with pytest.raises(InvalidInput):
+        npm_sweep(4, 2, 2, [], trials=5, rng=0)
 
 
 def test_problem_dict_round_trip(tmp_path):
