@@ -3,8 +3,7 @@
 Covers exact LHV bounds by deterministic enumeration, inequality values
 on experimental counts with Poissonian error propagation, gap-ratio
 maximization over the coefficient box, outcome-0 canonical forms and
-detection-efficiency thresholds, plus a KL fit onto the no-signaling
-polytope for raw (possibly signaling) frequency tables.
+detection-efficiency thresholds.
 
 The gap ratio is concave over affine in the coefficients, so after the
 Charnes-Cooper substitution its maximization is a linear program (one
@@ -12,11 +11,6 @@ row per deterministic strategy, the box) plus one Euclidean norm, the
 Poisson error.  `maximize_gap` solves it with HiGHS, replacing the norm
 by cutting planes added where each LP lands (Kelley); every LP value
 bounds the global maximum from above, which certifies the result.
-
-The KL fit is convex too: the no-signaling tables are an affine set
-u + N theta (N a basis of the equalities' null space) cut by p >= 0.
-`no_signaling_fit` puts p >= 0 into a log barrier and solves it by
-Newton steps, to a duality gap of 1e-9 nats, or raises QopError.
 
 Conventions: settings x, y and outcomes a, b are 0-based; marginal
 probabilities are always the average over the other party's settings,
@@ -31,9 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.optimize import linprog
-from scipy.special import xlogy
 
 from .errors import (
     InvalidInput,
@@ -42,14 +34,12 @@ from .errors import (
     TooLargeScenario,
     UnsupportedOutcomes,
 )
-from .mathcore import _PAULIS, MeasurementSet, QuantumState, as_rng, config_number
+from .mathcore import _PAULIS, MeasurementSet, QuantumState, as_rng, config_array, config_number
 
 ENUMERATION_GUARD = 10**8
 OPTIMIZER_STRATEGY_GUARD = 2 * 10**5  # dense strategy matrix rows the optimizer tolerates
 GAP_TOL = 1e-9  # certificate gap (LP bound minus exact ratio) at which the gap search stops
 GAP_ROUND_CAP = 200  # linear programs the gap search solves at most
-FIT_GAP = 1e-9  # duality gap (nats of weighted KL) at which the no-signaling fit stops
-FIT_STEP_CAP = 500  # no-signaling fit iterations (Newton steps and barrier raises) at most
 
 
 @dataclass(frozen=True)
@@ -243,10 +233,14 @@ def lhv_bound(ineq: BellInequality) -> float:
     if sc.strategy_count > ENUMERATION_GUARD:
         raise TooLargeScenario(f"{sc.strategy_count} deterministic strategies exceed guard")
     alice = _assignments(m, d).reshape(d**m, m * d)
-    # Bob's coefficients once Alice answers a(x): shape (d^m, m, d) over (y, b)
-    bob = alice @ ineq.joint.transpose(0, 2, 1, 3).reshape(m * d, m * d)
-    bob = bob.reshape(-1, m, d) + ineq.marg_b
-    return float(np.max(alice @ ineq.marg_a.ravel() + bob.max(axis=2).sum(axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Bob's coefficients once Alice answers a(x): shape (d^m, m, d) over (y, b)
+        bob = alice @ ineq.joint.transpose(0, 2, 1, 3).reshape(m * d, m * d)
+        bob = bob.reshape(-1, m, d) + ineq.marg_b
+        bound = float(np.max(alice @ ineq.marg_a.ravel() + bob.max(axis=2).sum(axis=1)))
+    if not math.isfinite(bound):
+        raise InvalidInput("the LHV bound overflows a float; scale the coefficients down")
+    return bound
 
 
 def _cell_weights(ineq: BellInequality) -> np.ndarray:
@@ -553,78 +547,6 @@ def efficiency_threshold(
     return float(min(min(feasible), 1.0))
 
 
-def _setting_weights(weights, m: int) -> np.ndarray:
-    """(m, m) setting-pair weights, 1/m^2 each by default; finite and nonnegative."""
-    if weights is None:
-        return np.full((m, m), 1.0 / (m * m))
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (m, m) or not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise InvalidInput("weights must be a finite nonnegative (m, m) array")
-    return w
-
-
-def kl_divergence(freq: BehaviorTable, model: BehaviorTable, weights=None) -> float:
-    """Weighted KL divergence (bits) between two behavior tables.
-
-    Model cells are floored at 1e-12; zero frequency cells contribute 0.
-    """
-    w = _setting_weights(weights, freq.settings)
-    terms = xlogy(freq.table, freq.table / np.clip(model.table, 1e-12, None))
-    return float((w[:, :, None, None] * terms).sum() / math.log(2))
-
-
-def no_signaling_fit(freq: BehaviorTable, weights=None) -> BehaviorTable:
-    """Closest no-signaling behavior to raw frequencies, in weighted KL.
-
-    Every table meeting the normalization and no-signaling equalities is
-    p = u + N theta, with u the uniform table 1/d^2 and N an orthonormal
-    basis of the equalities' null space, so only p >= 0 is left.  It
-    enters through a log barrier: damped Newton steps on
-    t (-sum w f ln p) - sum ln p, with Armijo backtracking that keeps
-    p > 0, until lambda^2 / 2 <= max(1e-12, 1e-15 t) (lambda the Newton
-    decrement; the bound is the rounding floor of the t-scaled
-    objective).  Then t grows 20-fold, until the duality gap cells / t
-    is at most FIT_GAP nats.  Not converging within FIT_STEP_CAP
-    iterations raises QopError.  The result is clipped at 0 and
-    renormalized per setting pair.
-    """
-    m, d = freq.settings, freq.outcomes
-    c = (_setting_weights(weights, m)[:, :, None, None] * freq.table).ravel()
-    # equality rows from the identity table: the sum per setting pair, then
-    # each party's marginal minus its value at the other party's next setting
-    cells = np.eye(c.size).reshape(m, m, d, d, c.size)
-    alice, bob = cells.sum(axis=3), cells.sum(axis=2)
-    rows = [cells.sum(axis=(2, 3)), alice[:, 1:] - alice[:, :-1], bob[1:] - bob[:-1]]
-    basis = null_space(np.concatenate([r.reshape(-1, c.size) for r in rows]))
-
-    def barrier(p, t):
-        return -float((t * c + 1.0) @ np.log(p))
-
-    p, t = np.full(c.size, 1.0 / d**2), 1.0
-    for _ in range(FIT_STEP_CAP):
-        scaled = (t * c + 1.0) / p  # minus the barrier's gradient in p
-        descent = basis.T @ scaled
-        step = np.linalg.solve((basis.T * (scaled / p)) @ basis, descent)
-        decrement = float(descent @ step)  # lambda^2
-        if decrement / 2 <= max(1e-12, 1e-15 * t):
-            if c.size / t <= FIT_GAP:
-                break
-            t *= 20.0
-            continue
-        move, size = basis @ step, 1.0
-        while np.any(p + size * move <= 0):
-            size *= 0.5
-        value = barrier(p, t)
-        while barrier(p + size * move, t) > value - 0.25 * size * decrement:
-            size *= 0.5
-        p = p + size * move
-    else:
-        raise QopError(f"no-signaling fit did not converge in {FIT_STEP_CAP} iterations")
-    table = np.clip(p.reshape(freq.table.shape), 0.0, None)
-    table /= table.sum(axis=(2, 3), keepdims=True)
-    return BehaviorTable(table)
-
-
 def format_inequality(ineq: BellInequality) -> str:
     """Human-readable signed-coefficient form, joints then marginals, 4 decimals."""
     parts = []
@@ -686,7 +608,7 @@ def _table_from_dict(obj: dict, key: str) -> np.ndarray:
             raise InvalidInput(f"{key} key {cell!r} is not of the form 'x,y'") from None
         if not (0 <= x < m and 0 <= y < m):
             raise InvalidInput(f"{key} key {cell!r} outside {m} settings")
-        arr = np.asarray(block, dtype=float)
+        arr = config_array(block, f"{key} block {cell!r}")
         if arr.shape != (d, d):
             raise InvalidInput(f"{key} block {cell!r} has shape {arr.shape}, expected ({d}, {d})")
         out[x, y] = arr
@@ -724,15 +646,14 @@ def inequality_from_dict(obj: dict) -> BellInequality:
     """Parse {"m", "d", "joint", "marg_a", "marg_b", "bound"} coefficient arrays."""
     try:
         m, d = config_number(obj["m"], int, "'m'"), config_number(obj["d"], int, "'d'")
-        joint = np.asarray(obj["joint"], dtype=float)
-        marg_a = np.asarray(obj["marg_a"], dtype=float)
-        marg_b = np.asarray(obj["marg_b"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        joint = config_array(obj["joint"], "'joint'")
+        marg_a = config_array(obj["marg_a"], "'marg_a'")
+        marg_b = config_array(obj["marg_b"], "'marg_b'")
+    except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed inequality file: {exc}") from exc
     bound = obj.get("bound")
-    return BellInequality(
-        joint, marg_a, marg_b, BellScenario(m, d), None if bound is None else float(bound)
-    )
+    bound = None if bound is None else config_number(bound, float, "'bound'")
+    return BellInequality(joint, marg_a, marg_b, BellScenario(m, d), bound)
 
 
 def inequality_to_dict(ineq: BellInequality) -> dict:

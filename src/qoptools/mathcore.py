@@ -561,10 +561,10 @@ def matrix_to_dict(m: np.ndarray) -> dict:
 
 def matrix_from_dict(obj: dict) -> np.ndarray:
     try:
-        dim = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        dim = config_number(obj["dim"], int, "'dim'")
+        re = config_array(obj["re"], "'re'")
+        im = config_array(obj["im"], "'im'")
+    except (KeyError, TypeError) as exc:
         raise InvalidInput(f"malformed matrix object: {exc}") from None
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise InvalidInput("matrix entries do not match declared dim")
@@ -588,6 +588,25 @@ def config_number(raw, kind, what: str):
         pass
     need = "an integer" if kind is int else "a finite number"
     raise InvalidInput(f"{what} must be {need}, got {json.dumps(raw, default=repr)}")
+
+
+def config_array(raw, what: str) -> np.ndarray:
+    """Nested lists of JSON numbers as a float array; shape and finiteness are the caller's.
+
+    Booleans, strings and ragged rows are refused entry by entry, where
+    np.asarray(raw, dtype=float) would read true as 1.0 and "2" as 2.0.
+    """
+    pending = [raw]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, numbers.Real):
+            raise InvalidInput(f"{what} entries must be numbers, got {json.dumps(item, default=repr)}")
+    try:
+        return np.asarray(raw, dtype=float)
+    except (ValueError, OverflowError):
+        raise InvalidInput(f"{what} is not a rectangular array of numbers") from None
 
 
 def load_ref(raw, base_dir, parse):

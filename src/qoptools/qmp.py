@@ -40,6 +40,7 @@ from .mathcore import (
     _complement_diagonal,
     as_rng,
     check_hermitian,
+    config_array,
     config_number,
     eigh,
     hermitize,
@@ -426,6 +427,8 @@ def _iterate(spec, constraint, accuracy, max_iterations, seed_mat, sweep):
         raise InvalidInput("accuracy must be a positive finite number")
     if not spec.targets:
         raise InvalidInput("the problem needs at least one target marginal")
+    if int(max_iterations) < 1:
+        raise InvalidInput("max_iterations must be at least 1")
     t0 = time.perf_counter()
     traj = _Trajectory()
     counts = {"warm_eigensteps": 0, "eigh_fallbacks": 0}
@@ -650,7 +653,8 @@ def problem_from_dict(obj: dict, base_dir=None) -> tuple[MarginalSpec, SpectralC
             constraint = SpectralConstraint.with_rank(
                 config_number(raw_constraint["rank"], int, "'rank'"))
         elif "spectra" in raw_constraint:
-            constraint = SpectralConstraint.with_spectrum(raw_constraint["spectra"])
+            constraint = SpectralConstraint.with_spectrum(
+                config_array(raw_constraint["spectra"], "'spectra'"))
         else:
             raise InvalidInput("constraint must carry 'rank' or 'spectra'")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

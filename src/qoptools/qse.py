@@ -26,6 +26,7 @@ from .mathcore import (
     QuantumState,
     as_rng,
     check_hermitian,
+    config_array,
     config_number,
     eigh,
     fidelity,
@@ -501,18 +502,6 @@ def run_benchmark(
     }
 
 
-def completeness_rank(measurements: Sequence[MeasurementSet]) -> int:
-    """Rank of the real span of all effects; d^2 means informationally complete.
-
-    Diagnostic only, estimation does not require or check it.
-    """
-    rows = []
-    for meas in measurements:
-        for e in meas.effects:
-            rows.append(np.concatenate([e.real.ravel(), e.imag.ravel()]))
-    return int(np.linalg.matrix_rank(np.asarray(rows), tol=1e-10))
-
-
 def estimation_problem_from_dict(obj: dict, base_dir=None):
     """Parse {"measurements", "frequencies", "epsilon", "max_iters"}.
 
@@ -523,7 +512,7 @@ def estimation_problem_from_dict(obj: dict, base_dir=None):
     """
     try:
         raw_meas = obj["measurements"]
-        frequencies = [np.asarray(f, dtype=float) for f in obj["frequencies"]]
+        frequencies = [config_array(f, "'frequencies'") for f in obj["frequencies"]]
         if isinstance(raw_meas, dict):
             qubits = config_number(raw_meas["qubits"], int, "'qubits'")
             protocol = raw_meas["protocol"]

@@ -364,80 +364,3 @@ def maximize_gap_slsqp(counts, trials=20, rng=None):
     if best[1] is None:
         return 1.0, np.zeros(n)
     return best
-
-
-def no_signaling_rows_loops(m, d):
-    """Normalization and no-signaling equalities A p = rhs over flattened (m, m, d, d) tables."""
-    shape = (m, m, d, d)
-    n = m * m * d * d
-    rows = []
-    rhs = []
-
-    def cell(x, y, a, b):
-        return np.ravel_multi_index((x, y, a, b), shape)
-
-    for x in range(m):
-        for y in range(m):
-            row = np.zeros(n)
-            for a in range(d):
-                for b in range(d):
-                    row[cell(x, y, a, b)] = 1.0
-            rows.append(row)
-            rhs.append(1.0)
-    for x in range(m):
-        for a in range(d):
-            for y in range(m - 1):
-                row = np.zeros(n)
-                for b in range(d):
-                    row[cell(x, y, a, b)] = 1.0
-                    row[cell(x, y + 1, a, b)] = -1.0
-                rows.append(row)
-                rhs.append(0.0)
-    for y in range(m):
-        for b in range(d):
-            for x in range(m - 1):
-                row = np.zeros(n)
-                for a in range(d):
-                    row[cell(x, y, a, b)] = 1.0
-                    row[cell(x + 1, y, a, b)] = -1.0
-                rows.append(row)
-                rhs.append(0.0)
-    return np.asarray(rows), np.asarray(rhs)
-
-
-def no_signaling_fit_slsqp(freq, weights):
-    """Weighted KL fit (bits) onto the no-signaling polytope by SLSQP over the full table.
-
-    The loop-built rows are linearly dependent, which SLSQP does not
-    tolerate, so the equalities are imposed on an orthonormal basis Q of
-    their row space: Q^T p = Q^T A^+ rhs.
-    Returns (kl_bits, success).
-    """
-    from scipy.linalg import orth
-    from scipy.optimize import minimize
-
-    m, d = freq.shape[0], freq.shape[2]
-    rows, rhs = no_signaling_rows_loops(m, d)
-    q = orth(rows.T)
-    q_rhs = q.T @ (np.linalg.pinv(rows) @ rhs)
-    f = freq.ravel()
-    c = (np.asarray(weights, dtype=float)[:, :, None, None] * freq).ravel()
-    mask = c > 0
-
-    def kl(p):
-        p = np.maximum(p, 1e-300)
-        value = float(np.sum(c[mask] * np.log2(f[mask] / p[mask])))
-        grad = np.zeros_like(p)
-        grad[mask] = -c[mask] / (p[mask] * math.log(2))
-        return value, grad
-
-    res = minimize(
-        kl,
-        np.full(f.size, 1.0 / (d * d)),
-        jac=True,
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * f.size,
-        constraints=[{"type": "eq", "fun": lambda p: q.T @ p - q_rhs, "jac": lambda p: q.T}],
-        options={"maxiter": 1000, "ftol": 1e-15},
-    )
-    return kl(res.x)[0], bool(res.success)

@@ -32,10 +32,8 @@ from qoptools.bell import (
     format_inequality,
     inequality_from_dict,
     inequality_to_dict,
-    kl_divergence,
     lhv_bound,
     maximize_gap,
-    no_signaling_fit,
     quantum_value,
     tilted_inequality,
 )
@@ -122,6 +120,14 @@ def test_gap_pieces_match_quantum_value():
 
 def test_lhv_bound_chsh_is_zero():
     assert lhv_bound(chsh_inequality()) == 0.0
+
+
+def test_lhv_bound_refuses_an_overflowing_value():
+    # finite coefficients whose best strategy sums past the float range
+    huge = BellInequality(np.full((2, 2, 2, 2), 1e308), np.zeros((2, 2)), np.zeros((2, 2)),
+                          BellScenario(2, 2))
+    with pytest.raises(InvalidInput):
+        lhv_bound(huge)
 
 
 def test_lhv_bound_scenario_guard():
@@ -408,86 +414,7 @@ def test_maximize_gap_rejects_no_restarts():
         maximize_gap(counts, trials=0)
 
 
-def test_kl_divergence_basics():
-    f = np.zeros((1, 1, 2, 2))
-    f[0, 0, 0, 0] = 1.0
-    g = np.zeros((1, 1, 2, 2))
-    g[0, 0, 0, 0] = 0.5
-    g[0, 0, 0, 1] = 0.5
-    fb, gb = BehaviorTable(f), BehaviorTable(g)
-    assert kl_divergence(fb, fb) == 0.0
-    assert abs(kl_divergence(fb, gb) - 1.0) < 1e-12  # one bit
-    assert kl_divergence(gb, fb) > 0.0
-
-
-def test_no_signaling_fit_projects():
-    rng = np.random.default_rng(98)
-    # break no-signaling by hand, then fit
-    table = _local_behavior(2, 2, rng).table.copy()
-    table[0, 0] = np.array([[0.9, 0.0], [0.0, 0.1]])
-    table[0, 1] = np.array([[0.4, 0.1], [0.1, 0.4]])  # A's marginal now depends on y
-    freq = BehaviorTable(table)
-    fit = no_signaling_fit(freq)
-    t = fit.table
-    for x in range(2):
-        pa_y0 = t[x, 0].sum(axis=1)
-        pa_y1 = t[x, 1].sum(axis=1)
-        assert np.abs(pa_y0 - pa_y1).max() < 1e-8
-    for y in range(2):
-        pb_x0 = t[0, y].sum(axis=0)
-        pb_x1 = t[1, y].sum(axis=0)
-        assert np.abs(pb_x0 - pb_x1).max() < 1e-8
-    assert kl_divergence(freq, fit) >= 0.0
-
-
-def test_no_signaling_fit_fixes_no_signaling_input():
-    fam = tilted_inequality(0.0)
-    beh = behavior_from_state(fam.state, fam.settings_a, fam.settings_b)
-    fit = no_signaling_fit(beh)
-    assert np.abs(fit.table - beh.table).max() < 1e-8
-
-
-def _signaling_table(m, d, rng, zero_cells):
-    """Random frequencies that signal; with zero_cells, about a quarter of the cells are 0."""
-    table = rng.uniform(size=(m, m, d, d)) ** 3
-    if zero_cells:
-        table[rng.uniform(size=table.shape) < 0.25] = 0.0
-        table[..., 0, 0] += table.sum(axis=(2, 3)) == 0  # no empty setting pair
-    return table / table.sum(axis=(2, 3), keepdims=True)
-
-
-def test_no_signaling_fit_matches_slsqp_oracle():
-    rng = np.random.default_rng(101)
-    attempted = solved = 0
-    for m, d in [(1, 3), (2, 2), (3, 2), (2, 3)]:
-        for i in range(6):
-            freq = _signaling_table(m, d, rng, zero_cells=i % 2 == 1)
-            weights = rng.uniform(size=(m, m))
-            if m > 1 and i == 2:
-                weights[0, 1] = 0.0  # a setting pair the fit ignores
-            weights /= weights.sum()
-            fit = no_signaling_fit(BehaviorTable(freq), weights).table
-            rows, rhs = oracles.no_signaling_rows_loops(m, d)
-            assert np.abs(rows @ fit.ravel() - rhs).max() <= 1e-12
-            assert fit.min() >= 0.0
-            assert np.abs(fit.sum(axis=(2, 3)) - 1.0).max() <= 1e-12
-            oracle_kl, success = oracles.no_signaling_fit_slsqp(freq, weights)
-            attempted += 1
-            if success:
-                solved += 1
-                fit_kl = kl_divergence(BehaviorTable(freq), BehaviorTable(fit), weights)
-                assert fit_kl <= oracle_kl + 1e-9
-    assert solved >= attempted / 2
-
-
-def test_weights_and_behavior_entries_must_be_finite():
-    beh = tilted_inequality(0.0)
-    beh = behavior_from_state(beh.state, beh.settings_a, beh.settings_b)
-    for weights in (np.full((2, 2), np.nan), -np.ones((2, 2)), np.ones((2, 3)), np.ones(4)):
-        with pytest.raises(InvalidInput):
-            no_signaling_fit(beh, weights)
-        with pytest.raises(InvalidInput):
-            kl_divergence(beh, beh, weights)
+def test_behavior_entries_must_be_finite():
     with pytest.raises(InvalidInput):
         BehaviorTable(np.full((1, 1, 2, 2), np.nan))
 

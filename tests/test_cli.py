@@ -357,7 +357,9 @@ def test_bundled_results_are_json_indent_2_text(tmp_path, name):
                                         "--out", str(out), "--seed", "1"])
     assert res.exit_code in (0, 2), res.stderr
     text = (out / "result.json").read_text()
-    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    # strict JSON: NaN, Infinity and -Infinity are refused
+    parsed = json.loads(text, parse_constant=lambda name: pytest.fail(f"result.json holds {name}"))
+    assert text == json.dumps(parsed, sort_keys=True, indent=2) + "\n"
 
 
 NAN, INF = float("nan"), float("inf")
@@ -419,6 +421,16 @@ def test_wrong_schema_exits_one(tmp_path, outdir):
     sweep = {"N": 4, "k": 2, "d": 2, "trials": 2}
     nan_behavior = read_json(cfg("chsh_behavior.json"))
     nan_behavior["behavior"]["0,0"][0][0] = float("nan")
+    # each JSON true below would otherwise read as 1.0 and give a valid input
+    bool_counts = read_json(cfg("chsh_counts.json"))
+    bool_counts["counts"]["0,0"] = [[1, True], [0, 0]]
+    bool_behavior = read_json(cfg("chsh_behavior.json"))
+    bool_behavior["behavior"]["0,0"] = [[True, 0], [0, 0]]
+    bool_joint = read_json(cfg("chsh.json"))
+    bool_joint["joint"][0][0][0][0] = True
+    zero = [[0, 0], [0, 0]]
+    proj0, proj1 = ({"dim": 2, "re": [[1 - b, 0], [0, b]], "im": zero} for b in (0, 1))
+    bool_proj0 = {**proj0, "re": [[True, 0], [0, 0]]}
     cases = [
         ("bell-lhv", {"m": 2}),  # no usable inequality payload
         ("bell-lhv", [1, 2]),
@@ -474,6 +486,23 @@ def test_wrong_schema_exits_one(tmp_path, outdir):
                                                               "behavior": [[[0.5, 0], [0, 0.5]]]}}),
         ("qmp-solve", {**pure3, "targets": []}),
         ("qmp-sweep", {**sweep, "m_range": [3, 1]}),
+        # at least one iteration; a bound that overflows to inf is not JSON
+        ("qmp-solve", {**pure3, "max_iterations": 0}),
+        ("qmp-solve", {**pure3, "max_iterations": -5}),
+        ("bell-lhv", {"inequality": {**chsh, "joint": np.full((2, 2, 2, 2), 1e308).tolist()}}),
+        # array entries are JSON numbers, never true or false
+        ("bell-optimize", {"counts": bool_counts}),
+        ("bell-efficiency", {"inequality": chsh, "behavior": bool_behavior}),
+        ("bell-lhv", {"inequality": bool_joint}),
+        ("qse-estimate", {"measurements": [{"effects": [bool_proj0, proj1]}],
+                          "frequencies": [[0.5, 0.5]]}),
+        ("qse-estimate", {**mub1, "frequencies": [[True, 0]] + mub1["frequencies"][1:]}),
+        ("qmp-solve", {**pure3, "constraint": {"spectra": [True] + [0] * 7}}),
+        ("bell-optimize", {"counts": {**bool_counts, "counts": {**bool_counts["counts"],
+                                                                "0,0": [[1, "2"], [3, 4]]}}}),
+        ("bell-lhv", {"inequality": {**chsh, "bound": True}}),
+        ("qse-estimate", {"measurements": [{"effects": [{**proj0, "dim": 2.5}, proj1]}],
+                          "frequencies": [[0.5, 0.5]]}),
     ]
     for i, (command, body) in enumerate(cases):
         config = tmp_path / f"wrong{i}.json"

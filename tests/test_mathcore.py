@@ -9,6 +9,7 @@ from qoptools.mathcore import (
     QuantumState,
     as_rng,
     check_hermitian,
+    config_array,
     eigh,
     fidelity,
     hs_distance,
@@ -271,6 +272,15 @@ def test_matrix_dict_round_trip():
                 {"dim": np.inf, "re": [[1]], "im": [[0]]}):
         with pytest.raises(InvalidInput):
             matrix_from_dict(bad)
+
+
+def test_config_array_reads_json_numbers_only():
+    assert config_array([[1, 2.5], [0, -3]], "x").tolist() == [[1.0, 2.5], [0.0, -3.0]]
+    assert config_array([], "x").shape == (0,)
+    # np.asarray(..., dtype=float) would read each of these as a number array
+    for bad in ([1, True], [[0.5, False]], ["2", 1], [[1, 2], [3]], [None, 1], 10**400):
+        with pytest.raises(InvalidInput):
+            config_array(bad, "x")
 
 
 def test_as_rng_accepts_seed_and_generator():

@@ -459,6 +459,15 @@ def test_solvers_reject_non_finite_accuracy():
             solve_accelerated(spec, con, accuracy=bad, max_iterations=5, rng=0)
 
 
+def test_solvers_reject_fewer_than_one_iteration():
+    spec, con = ame_spec(3, 2), SpectralConstraint.with_rank(1)
+    for bad in (0, -5):
+        with pytest.raises(InvalidInput):
+            solve(spec, con, max_iterations=bad, rng=0)
+        with pytest.raises(InvalidInput):
+            solve_accelerated(spec, con, max_iterations=bad, rng=0)
+
+
 @pytest.mark.parametrize("damped", [False, True])
 def test_swept_iterate_is_exactly_hermitian(monkeypatch, damped):
     # targets within 1e-12 of Hermitian are stored symmetrized, so every

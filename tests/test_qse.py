@@ -20,7 +20,6 @@ from qoptools.qse import (
     NoiseModel,
     bootstrap_fidelity,
     born_probabilities,
-    completeness_rank,
     estimate,
     estimation_problem_from_dict,
     impose_one,
@@ -202,14 +201,6 @@ def test_measurement_protocol_counts():
     assert len(measurement_protocol(2, "pauli")) == 9
     with pytest.raises(InvalidInput):
         measurement_protocol(1, "tomography")
-
-
-def test_completeness_rank_values():
-    assert completeness_rank(measurement_protocol(1, "mub")) == 4
-    assert completeness_rank(measurement_protocol(2, "mub")) == 16
-    assert completeness_rank(measurement_protocol(1, "pauli")) == 4
-    # one basis alone only pins the diagonal in that basis
-    assert completeness_rank(measurement_protocol(1, "mub")[:1]) == 2
 
 
 def _kron_pauli_bases(n):
