@@ -21,11 +21,18 @@ p_A(a|x) = m^-1 sum_y sum_b p(ab|xy).  An inequality value is
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
+
+try:  # HiGHS's own bindings, bundled with scipy since 1.15
+    from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, _Highs
+except ImportError:  # older scipy: every gap search LP is rebuilt and solved by linprog
+    _Highs = None
 
 from .errors import (
     InvalidInput,
@@ -40,6 +47,10 @@ ENUMERATION_GUARD = 10**8
 OPTIMIZER_STRATEGY_GUARD = 2 * 10**5  # dense strategy matrix rows the optimizer tolerates
 GAP_TOL = 1e-9  # certificate gap (LP bound minus exact ratio) at which the gap search stops
 GAP_ROUND_CAP = 200  # linear programs the gap search solves at most
+# HiGHS primal and dual feasibility tolerances of the gap search LPs: at the
+# default 1e-7 an LP point may violate its own cut by more than GAP_TOL, and
+# the same cut then comes back every round
+LP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -310,6 +321,9 @@ class GapResult(NamedTuple):
     classical: float
     upper_bound: float  # no coefficients in the box reach a higher ratio
     rounds: int  # linear programs solved
+    round_cap_hit: bool  # the search stopped because it ran GAP_ROUND_CAP rounds
+    lp_solver: str  # "highs-warm" (one HiGHS model, warm-started) or "linprog"
+    lp_seconds: float  # time spent in the LP solves
 
 
 def _gap_pieces(counts: CountsTable):
@@ -337,6 +351,72 @@ def _strategy_matrix(scenario: BellScenario) -> np.ndarray:
     one_hot = _assignments(m, d)
     tables = np.einsum("ixa,jyb->ijxyab", one_hot, one_hot)
     return _features(tables.reshape(-1, m, m, d, d))
+
+
+class _GapLP:
+    """max objective . z subject to rows z <= rhs, bounds and the norm cuts added so far.
+
+    With HiGHS's own bindings one model lives for the whole search and each
+    cut is appended as a row, so the dual simplex restarts from the last
+    optimal basis; without them each solve rebuilds the LP for linprog.
+    """
+
+    def __init__(self, objective, rows, rhs, bounds):
+        self.cost, self.rows, self.rhs, self.bounds = -objective, rows, rhs, bounds
+        self.cuts = []  # linprog path only
+        self.seconds = 0.0
+        self.model = None if _Highs is None else self._highs_model()
+        self.solver = "linprog" if self.model is None else "highs-warm"
+
+    def _highs_model(self):
+        a = csc_array(self.rows)
+        lp = HighsLp()
+        lp.num_row_, lp.num_col_ = a.shape
+        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
+        lp.col_cost_ = self.cost
+        lp.col_lower_, lp.col_upper_ = self.bounds[:, 0], self.bounds[:, 1]
+        lp.row_lower_, lp.row_upper_ = np.full(a.shape[0], -np.inf), self.rhs
+        model = _Highs()
+        model.setOptionValue("output_flag", False)
+        model.setOptionValue("primal_feasibility_tolerance", LP_TOL)
+        model.setOptionValue("dual_feasibility_tolerance", LP_TOL)
+        model.passModel(lp)
+        return model
+
+    def add_cut(self, row: np.ndarray) -> None:
+        """Add the row row . z <= 0."""
+        if self.model is None:
+            self.cuts.append(row)
+            return
+        index = np.flatnonzero(row).astype(np.int32)
+        self.model.addRow(-np.inf, 0.0, index.size, index, row[index])
+
+    def solve(self) -> tuple[np.ndarray, float]:
+        """An optimal point z and the optimal value."""
+        started = time.perf_counter()
+        if self.model is None:
+            res = linprog(
+                self.cost,
+                A_ub=np.vstack([self.rows, *self.cuts]),
+                b_ub=np.concatenate([self.rhs, np.zeros(len(self.cuts))]),
+                bounds=self.bounds,
+                method="highs",
+                options={"primal_feasibility_tolerance": LP_TOL,
+                         "dual_feasibility_tolerance": LP_TOL},
+            )
+            if res.status != 0:
+                raise QopError(f"gap search LP failed: {res.message}")
+            x, fun = res.x, res.fun
+        else:
+            self.model.run()
+            status = self.model.getModelStatus()
+            if status != HighsModelStatus.kOptimal:
+                raise QopError(f"gap search LP failed: {self.model.modelStatusToString(status)}")
+            x = np.array(self.model.getSolution().col_value)
+            fun = self.model.getInfo().objective_function_value
+        self.seconds += time.perf_counter() - started
+        return x, -float(fun)
 
 
 def maximize_gap(counts: CountsTable, trials: int = 20, rng=None) -> GapResult:
@@ -381,34 +461,24 @@ def maximize_gap(counts: CountsTable, trials: int = 20, rng=None) -> GapResult:
     q_vec, g = _gap_pieces(counts)
     n = q_vec.size
     strategies = _strategy_matrix(sc)
-    # variables z = (y, tau, r); linprog minimizes, so the objective is negated
-    cost = np.concatenate([-q_vec, [-dm, 1.0]])
+    # variables z = (y, tau, r)
     eye = np.eye(n)
-    fixed_rows = np.block([
-        [strategies, np.full((len(strategies), 1), dm), np.zeros((len(strategies), 1))],
-        [eye, -np.ones((n, 1)), np.zeros((n, 1))],
-        [-eye, -np.ones((n, 1)), np.zeros((n, 1))],
-    ])
-    fixed_rhs = np.concatenate([np.ones(len(strategies)), np.zeros(2 * n)])
-    bounds = [(None, None)] * n + [(0.0, 1.0 / dm), (0.0, None)]
+    lp = _GapLP(
+        np.concatenate([q_vec, [dm, -1.0]]),
+        np.block([
+            [strategies, np.full((len(strategies), 1), dm), np.zeros((len(strategies), 1))],
+            [eye, -np.ones((n, 1)), np.zeros((n, 1))],
+            [-eye, -np.ones((n, 1)), np.zeros((n, 1))],
+        ]),
+        np.concatenate([np.ones(len(strategies)), np.zeros(2 * n)]),
+        np.array([(-np.inf, np.inf)] * n + [(0.0, 1.0 / dm), (0.0, np.inf)]),
+    )
 
-    cuts = np.empty((0, n + 2))
     best = (1.0, np.zeros(n), 0.0, 0.0, 0.0)  # ratio, s, C, Q, dQ of the best candidate
+    capped = False
     for rounds in range(1, GAP_ROUND_CAP + 1):
-        res = linprog(
-            cost,
-            A_ub=np.vstack([fixed_rows, cuts]),
-            b_ub=np.concatenate([fixed_rhs, np.zeros(len(cuts))]),
-            bounds=bounds,
-            method="highs",
-            # at HiGHS's default 1e-7 an LP point may violate its own cut by
-            # more than GAP_TOL, and the same cut then comes back every round
-            options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
-        )
-        if res.status != 0:
-            raise QopError(f"gap search LP failed: {res.message}")
-        y, tau, r = res.x[:n], res.x[n], res.x[n + 1]
-        upper = -float(res.fun)
+        z, upper = lp.solve()
+        y, tau, r = z[:n], z[n], z[n + 1]
         sol = np.clip(y / tau, -1.0, 1.0)
         c = lhv_bound(_unstack_coefficients(sol, sc))
         if c >= -1e-9:  # feasible candidates only
@@ -420,9 +490,12 @@ def maximize_gap(counts: CountsTable, trials: int = 20, rng=None) -> GapResult:
         norm = float(np.linalg.norm(gy))
         if norm - r <= GAP_TOL or upper - best[0] <= GAP_TOL:
             break
-        cuts = np.vstack([cuts, np.concatenate([gy @ g / norm, [0.0, -1.0]])])
+        lp.add_cut(np.concatenate([gy @ g / norm, [0.0, -1.0]]))
+    else:
+        capped = True
     ratio, sol, c, q, dq = best
-    return GapResult(_unstack_coefficients(sol, sc, bound=c), ratio, q, dq, c, upper, rounds)
+    return GapResult(_unstack_coefficients(sol, sc, bound=c), ratio, q, dq, c, upper, rounds,
+                     capped, lp.solver, lp.seconds)
 
 
 class TiltedFamily(NamedTuple):

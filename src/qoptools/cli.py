@@ -305,8 +305,10 @@ def bell_optimize(cfg, run):
         "norm_cuts": res.rounds - 1,
         "upper_bound": res.upper_bound,
         "certificate_gap": res.upper_bound - res.ratio,
-        "round_cap_hit": res.rounds == bell.GAP_ROUND_CAP,
+        "round_cap_hit": res.round_cap_hit,
         "zero_inequality": not (ineq.joint.any() or ineq.marg_a.any() or ineq.marg_b.any()),
+        "lp_solver": res.lp_solver,
+        "lp_seconds": res.lp_seconds,
     }
     if search["round_cap_hit"]:
         click.echo(f"gap search ran all {bell.GAP_ROUND_CAP} LP rounds; "

@@ -10,6 +10,7 @@ import pytest
 from qoptools.errors import (
     InvalidInput,
     NotViolatedAtAnyEfficiency,
+    QopError,
     TooLargeScenario,
 )
 from qoptools import bell
@@ -399,13 +400,55 @@ def test_maximize_gap_round_cap_keeps_a_valid_bound(monkeypatch):
     counts = _random_basis_counts(3, 2, 1e6, np.random.default_rng(32))
     full = maximize_gap(counts)
     assert full.rounds > 2
+    assert not full.round_cap_hit
+    monkeypatch.setattr(bell, "GAP_ROUND_CAP", full.rounds)
+    assert not maximize_gap(counts).round_cap_hit  # converged on its last allowed round
     monkeypatch.setattr(bell, "GAP_ROUND_CAP", 2)
     capped = maximize_gap(counts)
     assert capped.rounds == 2
+    assert capped.round_cap_hit
     # fewer cuts give a looser bound, still above the best ratio found
     assert capped.upper_bound >= full.upper_bound - 1e-9
     assert capped.upper_bound >= full.ratio - 1e-9
     assert capped.ratio <= full.ratio + 1e-9
+
+
+needs_highs = pytest.mark.skipif(bell._Highs is None, reason="scipy ships no HiGHS bindings")
+
+
+@needs_highs
+@pytest.mark.parametrize("m,d", [(2, 2), (3, 2), (2, 3), (4, 2)])
+def test_warm_gap_search_matches_linprog_rounds(monkeypatch, m, d):
+    counts = _random_basis_counts(m, d, 1e6, np.random.default_rng(10 * m + d))
+    warm = maximize_gap(counts)
+    monkeypatch.setattr(bell, "_Highs", None)
+    cold = maximize_gap(counts)
+    assert (warm.lp_solver, cold.lp_solver) == ("highs-warm", "linprog")
+    assert warm.rounds == cold.rounds
+    assert abs(warm.ratio - cold.ratio) <= 1e-10
+    assert abs(warm.upper_bound - cold.upper_bound) <= 1e-10
+    for res in (warm, cold):
+        assert res.upper_bound - res.ratio <= 1e-9
+        assert 0.0 < res.lp_seconds
+
+
+@needs_highs
+def test_warm_gap_search_is_silent(capfd):
+    # HiGHS logs from C, past Python's sys.stdout and sys.stderr
+    counts = _random_basis_counts(3, 2, 1e6, np.random.default_rng(32))
+    assert maximize_gap(counts).lp_solver == "highs-warm"
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("warm", [pytest.param(True, marks=needs_highs), False])
+def test_gap_lp_failure_is_a_qop_error(monkeypatch, warm):
+    if not warm:
+        monkeypatch.setattr(bell, "_Highs", None)
+    # x <= -1 and -x <= -1: no point is feasible
+    lp = bell._GapLP(np.ones(1), np.array([[1.0], [-1.0]]), -np.ones(2),
+                     np.array([(-np.inf, np.inf)]))
+    with pytest.raises(QopError, match="gap search LP failed"):
+        lp.solve()
 
 
 def test_maximize_gap_rejects_no_restarts():

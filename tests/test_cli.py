@@ -197,6 +197,27 @@ def test_bell_optimize_small(tmp_path, outdir):
     assert info["round_cap_hit"] is False
     assert info["zero_inequality"] is False
     assert "zero inequality" not in proc.stderr
+    # the LP path is named, never silent; this process has the child's scipy
+    from qoptools import bell
+    assert info["lp_solver"] == ("linprog" if bell._Highs is None else "highs-warm")
+    assert 0.0 < info["lp_seconds"] <= info["runtime_seconds"]
+
+
+def test_bell_optimize_converging_on_the_last_round_is_not_capped(monkeypatch, outdir):
+    # in-process, so the round cap can be cut to the two rounds the bundled search needs
+    from click.testing import CliRunner
+
+    from qoptools import bell, cli
+
+    monkeypatch.setattr(bell, "GAP_ROUND_CAP", 2)
+    res = CliRunner().invoke(cli.main, ["bell-optimize", "--config", cfg("bell_optimize_chsh.json"),
+                                        "--out", outdir])
+    assert res.exit_code == 0, res.stderr
+    info = read_json(os.path.join(outdir, "run_info.json"))
+    assert info["lp_rounds"] == 2
+    assert info["certificate_gap"] <= bell.GAP_TOL
+    assert info["round_cap_hit"] is False
+    assert "LP rounds" not in res.stderr
 
 
 def test_bell_optimize_reports_the_zero_inequality(tmp_path, outdir):
