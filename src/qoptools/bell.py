@@ -20,19 +20,13 @@ p_A(a|x) = m^-1 sum_y sum_b p(ab|xy).  An inequality value is
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csc_array
-
-try:  # HiGHS's own bindings, bundled with scipy since 1.15
-    from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, _Highs
-except ImportError:  # older scipy: every gap search LP is rebuilt and solved by linprog
-    _Highs = None
 
 from .errors import (
     InvalidInput,
@@ -213,10 +207,17 @@ def _unstack_coefficients(s: np.ndarray, scenario: BellScenario, bound=None) -> 
     return BellInequality(joint, marg_a, marg_b, scenario, bound)
 
 
+@functools.lru_cache(maxsize=16)
 def _assignments(m: int, d: int) -> np.ndarray:
-    """One-hot table of every map x -> a(x), shape (d^m, m, d), in np.ndindex order."""
+    """One-hot table of every map x -> a(x), shape (d^m, m, d), in np.ndindex order.
+
+    Built once per (m, d), since the gap search bounds a candidate every
+    round; the table is shared between callers, so it is read-only.
+    """
     digits = np.indices((d,) * m).reshape(m, -1).T
-    return np.eye(d)[digits]
+    table = np.eye(d)[digits]
+    table.setflags(write=False)
+    return table
 
 
 def _features(table: np.ndarray) -> np.ndarray:
@@ -353,6 +354,21 @@ def _strategy_matrix(scenario: BellScenario) -> np.ndarray:
     return _features(tables.reshape(-1, m, m, d, d))
 
 
+@functools.cache
+def _highs():
+    """HiGHS's own bindings, bundled with scipy since 1.15, or None on older scipy.
+
+    Only the gap search needs scipy, so it is imported here, on the first
+    search, and not with this module: importing scipy.optimize loads
+    hundreds of modules, which every other command would pay for at start.
+    """
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:  # older scipy: every gap search LP is rebuilt and solved by linprog
+        return None
+    return _core
+
+
 class _GapLP:
     """max objective . z subject to rows z <= rhs, bounds and the norm cuts added so far.
 
@@ -365,19 +381,22 @@ class _GapLP:
         self.cost, self.rows, self.rhs, self.bounds = -objective, rows, rhs, bounds
         self.cuts = []  # linprog path only
         self.seconds = 0.0
-        self.model = None if _Highs is None else self._highs_model()
+        highs = _highs()  # imports scipy here, outside the timed solves
+        self.model = None if highs is None else self._highs_model(highs)
         self.solver = "linprog" if self.model is None else "highs-warm"
 
-    def _highs_model(self):
+    def _highs_model(self, highs):
+        from scipy.sparse import csc_array
+
         a = csc_array(self.rows)
-        lp = HighsLp()
+        lp = highs.HighsLp()
         lp.num_row_, lp.num_col_ = a.shape
         lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
         lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
         lp.col_cost_ = self.cost
         lp.col_lower_, lp.col_upper_ = self.bounds[:, 0], self.bounds[:, 1]
         lp.row_lower_, lp.row_upper_ = np.full(a.shape[0], -np.inf), self.rhs
-        model = _Highs()
+        model = highs._Highs()
         model.setOptionValue("output_flag", False)
         model.setOptionValue("primal_feasibility_tolerance", LP_TOL)
         model.setOptionValue("dual_feasibility_tolerance", LP_TOL)
@@ -396,6 +415,8 @@ class _GapLP:
         """An optimal point z and the optimal value."""
         started = time.perf_counter()
         if self.model is None:
+            from scipy.optimize import linprog
+
             res = linprog(
                 self.cost,
                 A_ub=np.vstack([self.rows, *self.cuts]),
@@ -411,7 +432,7 @@ class _GapLP:
         else:
             self.model.run()
             status = self.model.getModelStatus()
-            if status != HighsModelStatus.kOptimal:
+            if status != _highs().HighsModelStatus.kOptimal:
                 raise QopError(f"gap search LP failed: {self.model.modelStatusToString(status)}")
             x = np.array(self.model.getSolution().col_value)
             fun = self.model.getInfo().objective_function_value

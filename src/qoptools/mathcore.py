@@ -577,16 +577,17 @@ def config_number(raw, kind, what: str):
     """A config value as kind (int or float): a finite JSON number, integral for int.
 
     Booleans and strings are refused, and so is 2.5 for an int, which
-    int() would truncate; the InvalidInput message names `what`.
+    int() would truncate, and an int beyond 64 bits, which numpy cannot
+    hold as a size or count; the InvalidInput message names `what`.
     """
     try:
         if isinstance(raw, numbers.Real) and not isinstance(raw, bool):
             value = kind(raw)
-            if math.isfinite(value) and (kind is float or value == raw):
+            if math.isfinite(value) and (kind is float or (value == raw and abs(value) < 2**63)):
                 return value
     except (ValueError, OverflowError):
         pass
-    need = "an integer" if kind is int else "a finite number"
+    need = "an integer below 2**63 in magnitude" if kind is int else "a finite number"
     raise InvalidInput(f"{what} must be {need}, got {json.dumps(raw, default=repr)}")
 
 

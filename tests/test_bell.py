@@ -106,6 +106,17 @@ def test_strategy_matrix_rows_are_deterministic_behaviors():
             assert abs(np.max(rows @ s) - lhv_bound(ineq)) < 1e-12
 
 
+def test_strategy_table_is_shared_and_read_only():
+    table = bell._assignments(3, 2)
+    assert bell._assignments(3, 2) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0, 0] = 1.0
+    # one one-hot row per map x -> a(x), in np.ndindex order
+    assert np.array_equal(table.argmax(axis=2), list(np.ndindex(2, 2, 2)))
+    assert np.array_equal(table.sum(axis=2), np.ones((8, 3)))
+
+
 def test_gap_pieces_match_quantum_value():
     rng = np.random.default_rng(99)
     for m, d in ((2, 2), (3, 2), (2, 3)):
@@ -413,7 +424,7 @@ def test_maximize_gap_round_cap_keeps_a_valid_bound(monkeypatch):
     assert capped.ratio <= full.ratio + 1e-9
 
 
-needs_highs = pytest.mark.skipif(bell._Highs is None, reason="scipy ships no HiGHS bindings")
+needs_highs = pytest.mark.skipif(bell._highs() is None, reason="scipy ships no HiGHS bindings")
 
 
 @needs_highs
@@ -421,7 +432,7 @@ needs_highs = pytest.mark.skipif(bell._Highs is None, reason="scipy ships no HiG
 def test_warm_gap_search_matches_linprog_rounds(monkeypatch, m, d):
     counts = _random_basis_counts(m, d, 1e6, np.random.default_rng(10 * m + d))
     warm = maximize_gap(counts)
-    monkeypatch.setattr(bell, "_Highs", None)
+    monkeypatch.setattr(bell, "_highs", lambda: None)
     cold = maximize_gap(counts)
     assert (warm.lp_solver, cold.lp_solver) == ("highs-warm", "linprog")
     assert warm.rounds == cold.rounds
@@ -443,7 +454,7 @@ def test_warm_gap_search_is_silent(capfd):
 @pytest.mark.parametrize("warm", [pytest.param(True, marks=needs_highs), False])
 def test_gap_lp_failure_is_a_qop_error(monkeypatch, warm):
     if not warm:
-        monkeypatch.setattr(bell, "_Highs", None)
+        monkeypatch.setattr(bell, "_highs", lambda: None)
     # x <= -1 and -x <= -1: no point is feasible
     lp = bell._GapLP(np.ones(1), np.array([[1.0], [-1.0]]), -np.ones(2),
                      np.array([(-np.inf, np.inf)]))

@@ -92,6 +92,45 @@ def test_console_script_installed():
             assert sub in proc.stdout
 
 
+# runs four commands in-process, then bell-optimize; prints which scipy
+# modules the four loaded, and what the gap search loaded and reported
+SCIPY_PROBE = """
+import json, os, sys
+import qoptools
+from qoptools import bell, cli
+
+configs, out = sys.argv[1:]
+
+def run(command, name):
+    try:
+        cli.main([command, "--config", os.path.join(configs, name),
+                  "--out", os.path.join(out, command)], standalone_mode=False)
+    except SystemExit as exc:
+        assert exc.code == 0, (command, exc.code)
+
+for command, name in [("qse-estimate", "qse_estimate_mub1.json"),
+                      ("qmp-solve", "qmp_solve_ame43.json"),
+                      ("bell-lhv", "bell_lhv_chsh.json"),
+                      ("bell-efficiency", "bell_efficiency_chsh.json")]:
+    run(command, name)
+before = sorted(m for m in sys.modules if m.startswith("scipy"))
+run("bell-optimize", "bell_optimize_chsh.json")
+with open(os.path.join(out, "bell-optimize", "run_info.json")) as fh:
+    solver = json.load(fh)["lp_solver"]
+print(json.dumps({"before": before, "optimize": "scipy.optimize" in sys.modules,
+                  "lp_solver": solver, "bindings": bell._highs() is not None}))
+"""
+
+
+def test_only_the_gap_search_imports_scipy(tmp_path):
+    proc = launch([sys.executable, "-c", SCIPY_PROBE, CONFIGS, str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["before"] == []
+    assert seen["optimize"] is True
+    assert seen["lp_solver"] == ("highs-warm" if seen["bindings"] else "linprog")
+
+
 @pytest.mark.parametrize("demo", ["bell_gap_demo.py", "estimation_demo.py", "marginal_demo.py"])
 def test_demo_runs(demo):
     proc = launch([sys.executable, os.path.join(DEMOS, demo)])
@@ -199,7 +238,7 @@ def test_bell_optimize_small(tmp_path, outdir):
     assert "zero inequality" not in proc.stderr
     # the LP path is named, never silent; this process has the child's scipy
     from qoptools import bell
-    assert info["lp_solver"] == ("linprog" if bell._Highs is None else "highs-warm")
+    assert info["lp_solver"] == ("linprog" if bell._highs() is None else "highs-warm")
     assert 0.0 < info["lp_seconds"] <= info["runtime_seconds"]
 
 
