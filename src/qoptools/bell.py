@@ -6,11 +6,12 @@ maximization over the coefficient box, outcome-0 canonical forms and
 detection-efficiency thresholds.
 
 The gap ratio is concave over affine in the coefficients, so after the
-Charnes-Cooper substitution its maximization is a linear program (one
-row per deterministic strategy, the box) plus one Euclidean norm, the
-Poisson error.  `maximize_gap` solves it with HiGHS, replacing the norm
-by cutting planes added where each LP lands (Kelley); every LP value
-bounds the global maximum from above, which certifies the result.
+Charnes-Cooper substitution its maximization is a linear program (the
+LHV value lifted to d^m (m d + 1) sparse rows, the box) plus one
+Euclidean norm, the Poisson error.  `maximize_gap` solves it with
+HiGHS, replacing the norm by cutting planes added where each LP lands
+(Kelley); every LP value bounds the global maximum from above, which
+certifies the result.
 
 Conventions: settings x, y and outcomes a, b are 0-based; marginal
 probabilities are always the average over the other party's settings,
@@ -38,7 +39,11 @@ from .errors import (
 from .mathcore import _PAULIS, MeasurementSet, QuantumState, as_rng, config_array, config_number
 
 ENUMERATION_GUARD = 10**8
-OPTIMIZER_STRATEGY_GUARD = 2 * 10**5  # dense strategy matrix rows the optimizer tolerates
+# lifted LHV rows d^m (m d + 1) the gap search builds at most.  Searches
+# past the old dense guard run: (6,3), 13,851 rows, took 11.2 s in 20 LP
+# rounds and (5,4), 21,504 rows, 34.2 s in 22 rounds (perfbench counts
+# recipe, 2-vCPU Xeon VM, one BLAS thread); (4,6) has 32,400
+LIFTED_ROW_GUARD = 25_000
 GAP_TOL = 1e-9  # certificate gap (LP bound minus exact ratio) at which the gap search stops
 GAP_ROUND_CAP = 200  # linear programs the gap search solves at most
 # HiGHS primal and dual feasibility tolerances of the gap search LPs: at the
@@ -342,16 +347,67 @@ def _gap_pieces(counts: CountsTable):
     return q_vec, g.reshape(-1, q_vec.size)
 
 
-def _strategy_matrix(scenario: BellScenario) -> np.ndarray:
-    """Feature vectors of every deterministic strategy, one per row."""
-    m, d = scenario.settings, scenario.outcomes
-    if scenario.strategy_count > OPTIMIZER_STRATEGY_GUARD:
+@functools.lru_cache(maxsize=16)
+def _lifted_lp(m: int, d: int):
+    """Rows, right-hand sides and bounds of the gap search LP over z = (y, tau, r, u).
+
+    The LHV value max_k v_k . y is lifted exactly: with one free u[alpha, y]
+    per Alice assignment alpha and Bob setting y, Bob's best answer b(y)
+    decouples, as in lhv_bound, into the rows
+
+        sum_x y_J[x, y, alpha(x), b] + y_B[y, b] - u[alpha, y] <= 0     (alpha, y, b)
+        sum_x y_A[x, alpha(x)] + sum_y u[alpha, y] + dm tau   <= 1     (alpha)
+
+    followed by the box -tau <= y_i <= tau, so d^m (m d + 1) sparse rows
+    stand in for the d^(2m) dense strategy rows.  Built once per (m, d) and
+    shared between searches, so every array is read-only.
+    """
+    from scipy.sparse import coo_array
+
+    count = d**m
+    if count * (m * d + 1) > LIFTED_ROW_GUARD:
         raise TooLargeScenario(
-            f"{scenario.strategy_count} strategies exceed the optimizer guard"
+            f"{count * (m * d + 1)} lifted strategy rows exceed the gap search guard "
+            f"of {LIFTED_ROW_GUARD}"
         )
-    one_hot = _assignments(m, d)
-    tables = np.einsum("ixa,jyb->ijxyab", one_hot, one_hot)
-    return _features(tables.reshape(-1, m, m, d, d))
+    nj, nm = m * m * d * d, m * d
+    n = nj + 2 * nm
+    tau, cols = n, n + 2 + count * m
+    alpha = _assignments(m, d).argmax(axis=2)  # (count, x) -> alpha(x)
+    # (alpha, y, b) rows first: m joint entries, then y_B[y, b] and -u[alpha, y]
+    k, y, b, x = np.ix_(range(count), range(m), range(d), range(m))
+    pair_cols = np.concatenate([
+        np.broadcast_to(((x * m + y) * d + alpha[k, x]) * d + b, (count, m, d, m)),
+        np.broadcast_to(nj + nm + y * d + b, (count, m, d, 1)),
+        np.broadcast_to(n + 2 + k * m + y, (count, m, d, 1)),
+    ], axis=3)
+    pair_rows = np.broadcast_to((k * m + y) * d + b, pair_cols.shape)
+    pair_vals = np.broadcast_to(np.r_[np.ones(m + 1), -1.0], pair_cols.shape)
+    # then one row per alpha: y_A[x, alpha(x)], u[alpha, y] and dm tau
+    k, x = np.ix_(range(count), range(m))
+    alpha_cols = np.concatenate([nj + x * d + alpha, n + 2 + k * m + x,
+                                 np.full((count, 1), tau)], axis=1)
+    alpha_rows = np.broadcast_to(count * m * d + k, alpha_cols.shape)
+    alpha_vals = np.broadcast_to(np.r_[np.ones(2 * m), float(nm)], alpha_cols.shape)
+    # then the box: y_i - tau <= 0, then -y_i - tau <= 0
+    first_box = count * (m * d + 1)
+    box_rows = np.tile(first_box + np.arange(2 * n), 2)
+    box_cols = np.concatenate([np.tile(np.arange(n), 2), np.full(2 * n, tau)])
+    box_vals = np.concatenate([np.ones(n), -np.ones(n), -np.ones(2 * n)])
+    rows = coo_array(
+        (np.concatenate([pair_vals.ravel(), alpha_vals.ravel(), box_vals]),
+         (np.concatenate([pair_rows.ravel(), alpha_rows.ravel(), box_rows]),
+          np.concatenate([pair_cols.ravel(), alpha_cols.ravel(), box_cols]))),
+        shape=(first_box + 2 * n, cols),
+    ).tocsc()
+    rhs = np.zeros(rows.shape[0])
+    rhs[count * m * d:first_box] = 1.0
+    bounds = np.full((cols, 2), (-np.inf, np.inf))
+    bounds[tau] = (0.0, 1.0 / nm)
+    bounds[tau + 1, 0] = 0.0
+    for arr in (rows.data, rows.indices, rows.indptr, rhs, bounds):
+        arr.setflags(write=False)
+    return rows, rhs, bounds
 
 
 @functools.cache
@@ -372,6 +428,8 @@ def _highs():
 class _GapLP:
     """max objective . z subject to rows z <= rhs, bounds and the norm cuts added so far.
 
+    rows is a scipy CSC array, handed to HiGHS as it is.
+
     With HiGHS's own bindings one model lives for the whole search and each
     cut is appended as a row, so the dual simplex restarts from the last
     optimal basis; without them each solve rebuilds the LP for linprog.
@@ -386,9 +444,7 @@ class _GapLP:
         self.solver = "linprog" if self.model is None else "highs-warm"
 
     def _highs_model(self, highs):
-        from scipy.sparse import csc_array
-
-        a = csc_array(self.rows)
+        a = self.rows
         lp = highs.HighsLp()
         lp.num_row_, lp.num_col_ = a.shape
         lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
@@ -404,9 +460,9 @@ class _GapLP:
         return model
 
     def add_cut(self, row: np.ndarray) -> None:
-        """Add the row row . z <= 0."""
+        """Add the row row . z <= 0; columns past the end of row are zero."""
         if self.model is None:
-            self.cuts.append(row)
+            self.cuts.append(np.pad(row, (0, self.rows.shape[1] - row.size)))
             return
         index = np.flatnonzero(row).astype(np.int32)
         self.model.addRow(-np.inf, 0.0, index.size, index, row[index])
@@ -416,10 +472,12 @@ class _GapLP:
         started = time.perf_counter()
         if self.model is None:
             from scipy.optimize import linprog
+            from scipy.sparse import csr_array, vstack
 
+            rows = vstack([self.rows, csr_array(np.array(self.cuts))]) if self.cuts else self.rows
             res = linprog(
                 self.cost,
-                A_ub=np.vstack([self.rows, *self.cuts]),
+                A_ub=rows,
                 b_ub=np.concatenate([self.rhs, np.zeros(len(self.cuts))]),
                 bounds=self.bounds,
                 method="highs",
@@ -456,10 +514,14 @@ def maximize_gap(counts: CountsTable, trials: int = 20, rng=None) -> GapResult:
                                                   -tau <= y_i <= tau,
                                                   0 <= tau <= 1 / dm.
 
-    The norm is replaced by an epigraph variable r >= |G y| which only
-    sees cutting planes r >= w . G y, w = G y / |G y| at the points the
-    linear programs visit (Kelley).  Every cut underestimates the norm,
-    so each LP value bounds the global maximum from above; each LP
+    The LP holds the strategy rows in their lifted form (`_lifted_lp`):
+    d^m (m d + 1) sparse rows over one extra free variable per Alice
+    assignment and Bob setting, with the same optimum as the d^(2m)
+    rows above.  The norm is replaced by an epigraph variable
+    r >= |G y| which only sees cutting planes r >= w . G y,
+    w = G y / |G y| at the points the linear programs visit (Kelley).
+    Every cut underestimates the norm, so each LP value bounds the
+    global maximum from above; each LP
     solution s = clip(y / tau) is scored exactly, and the search stops
     once no cut is violated or the LP value is within GAP_TOL of the best
     exact ratio, or after GAP_ROUND_CAP rounds.  The returned
@@ -481,19 +543,11 @@ def maximize_gap(counts: CountsTable, trials: int = 20, rng=None) -> GapResult:
     dm = float(sc.outcomes * sc.settings)
     q_vec, g = _gap_pieces(counts)
     n = q_vec.size
-    strategies = _strategy_matrix(sc)
-    # variables z = (y, tau, r)
-    eye = np.eye(n)
-    lp = _GapLP(
-        np.concatenate([q_vec, [dm, -1.0]]),
-        np.block([
-            [strategies, np.full((len(strategies), 1), dm), np.zeros((len(strategies), 1))],
-            [eye, -np.ones((n, 1)), np.zeros((n, 1))],
-            [-eye, -np.ones((n, 1)), np.zeros((n, 1))],
-        ]),
-        np.concatenate([np.ones(len(strategies)), np.zeros(2 * n)]),
-        np.array([(-np.inf, np.inf)] * n + [(0.0, 1.0 / dm), (0.0, np.inf)]),
-    )
+    rows, rhs, bounds = _lifted_lp(sc.settings, sc.outcomes)
+    # variables z = (y, tau, r, u); only y, tau and r enter the objective and the cuts
+    objective = np.zeros(rows.shape[1])
+    objective[:n + 2] = np.concatenate([q_vec, [dm, -1.0]])
+    lp = _GapLP(objective, rows, rhs, bounds)
 
     best = (1.0, np.zeros(n), 0.0, 0.0, 0.0)  # ratio, s, C, Q, dQ of the best candidate
     capped = False

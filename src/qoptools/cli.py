@@ -42,7 +42,10 @@ def _load_json(path: str) -> dict:
 
 
 def _json_pieces(obj, nl: str):
-    """json.dumps(obj, sort_keys=True, indent=2) in pieces; nl is newline plus current indent."""
+    """json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) in pieces.
+
+    nl is a newline plus the current indent.
+    """
     if isinstance(obj, dict):
         if not obj:
             yield "{}"
@@ -72,21 +75,25 @@ def _json_pieces(obj, nl: str):
             sep = ","
         yield nl + "]"
     else:
-        yield json.dumps(obj)
+        yield json.dumps(obj, allow_nan=False)
 
 
 def _write_json(path: str, obj) -> None:
-    """Write json.dumps(obj, sort_keys=True, indent=2) and a newline, byte for byte.
+    """Write json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) and a newline.
 
-    json runs its pure-Python encoder whenever indent is set, which costs
-    more per float than float.__repr__ itself, and a dumped D=256 state
-    holds 131,072 floats.  Here each list of exact finite floats (a matrix
-    row) is encoded by one join, every other scalar by json.dumps, and the
-    text is streamed to the file in pieces.  A dict with a non-str key,
-    which json would convert to a string, raises TypeError.
+    The bytes are those json.dumps writes, but json runs its pure-Python
+    encoder whenever indent is set, which costs more per float than
+    float.__repr__ itself, and a dumped D=256 state holds 131,072 floats.
+    Here each list of exact finite floats (a matrix row) is encoded by one
+    join and every other scalar by json.dumps.  A dict with a non-str key,
+    which json would convert to a string, raises TypeError, and a NaN or
+    infinity, which is not JSON, raises ValueError.  Every piece is encoded
+    before the file is opened, so either leaves no file behind; the pieces
+    are written as they are, not joined, so the text is held in memory once.
     """
+    pieces = list(_json_pieces(obj, "\n"))
     with open(path, "w") as fh:
-        fh.writelines(_json_pieces(obj, "\n"))
+        fh.writelines(pieces)
         fh.write("\n")
 
 

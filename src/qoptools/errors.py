@@ -26,7 +26,7 @@ class InvalidMeasurementKind(QopError):
 
 
 class TooLargeScenario(QopError):
-    """Deterministic-strategy enumeration would exceed the size guard."""
+    """A problem exceeds a size guard: strategies, gap search LP rows or global dimension."""
 
 
 class UnsupportedOutcomes(QopError):

@@ -33,6 +33,7 @@ from .errors import (
     InvalidInput,
     InvalidSubsystem,
     NotConverged,
+    TooLargeScenario,
 )
 from .mathcore import (
     QuantumState,
@@ -54,10 +55,23 @@ from .mathcore import (
 )
 
 PSD_WITNESS_TOL = -1e-10
+# global dimension d^N at most: every solver and sweep holds dense D x D
+# complex matrices, 1 GiB each at D = 2^13
+DIMENSION_GUARD = 2**13
 # a warm top-r eigenstep is accepted when its Ritz residual ||X V - V diag(w)||_F
 # is at most this fraction of ||X||_F; otherwise it restarts once, then falls back to eigh
 RITZ_RESIDUAL_TOL = 1e-12
 KRYLOV_BLOCKS = 8
+
+
+def _check_dimension(n_parties: int, local_dim: int) -> None:
+    """Refuse a global dimension d^N past DIMENSION_GUARD before anything of that size exists."""
+    # for every d >= 2, d^64 already exceeds the guard, so capping the
+    # exponent keeps an absurd N from spending its time on the power itself
+    if local_dim ** min(n_parties, 64) > DIMENSION_GUARD:
+        raise TooLargeScenario(
+            f"global dimension {local_dim}^{n_parties} exceeds the guard of {DIMENSION_GUARD}"
+        )
 
 
 def _check_subset(subset, n_parties: int) -> tuple[int, ...]:
@@ -155,6 +169,7 @@ class MarginalSpec:
             raise InvalidInput("need at least two parties")
         if d < 2:
             raise InvalidInput("local dimension must be at least 2")
+        _check_dimension(n, d)
         clean = []
         for subset, sigma in targets:
             sub = _check_subset(subset, n)
@@ -618,6 +633,7 @@ def npm_sweep(
     """
     if not 1 <= k < n_parties:
         raise InvalidInput("need 1 <= k < n_parties")
+    _check_dimension(n_parties, local_dim)
     if generator not in ("pure", "full-rank"):
         raise InvalidInput(f"unknown generator mode {generator!r}")
     if trials < 1:
@@ -659,10 +675,11 @@ def problem_from_dict(obj: dict, base_dir=None) -> tuple[MarginalSpec, SpectralC
             raise InvalidInput("constraint must carry 'rank' or 'spectra'")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed problem description: {exc}") from exc
+    _check_dimension(n, d)
     targets = []
     for subset, state in raw_targets:
         if state == "maximally-mixed":
-            dk = d ** len(subset)
+            dk = d ** len(_check_subset(subset, n))
             mat = np.eye(dk, dtype=complex) / dk
         else:
             mat = load_ref(state, base_dir, matrix_from_dict)

@@ -298,6 +298,49 @@ def reference_marginal_solve(x0, spec, constraint, steps, impose_all, impose_spe
     return out
 
 
+def strategy_matrix(m, d):
+    """Coefficient-space image [p, p_A, p_B] of every deterministic strategy, one dense row each.
+
+    Rows run over Alice's assignments a, then Bob's b, both in
+    itertools.product order; the marginals of a deterministic strategy
+    are one-hot whatever the averaging.
+    """
+    rows = []
+    for a in itertools.product(range(d), repeat=m):
+        for b in itertools.product(range(d), repeat=m):
+            joint = np.zeros((m, m, d, d))
+            marg_a = np.zeros((m, d))
+            marg_b = np.zeros((m, d))
+            for x in range(m):
+                marg_a[x, a[x]] = 1.0
+                marg_b[x, b[x]] = 1.0
+                for y in range(m):
+                    joint[x, y, a[x], b[y]] = 1.0
+            rows.append(np.concatenate([joint.ravel(), marg_a.ravel(), marg_b.ravel()]))
+    return np.array(rows)
+
+
+def dense_gap_lp(m, d):
+    """The gap search LP over z = (y, tau, r) with one row per deterministic strategy.
+
+    Returns (rows, rhs, bounds) of v_k . y + dm tau <= 1 and
+    -tau <= y_i <= tau, with 0 <= tau <= 1/dm and r >= 0: the form the
+    lifted rows of qoptools.bell replace.
+    """
+    strategies = strategy_matrix(m, d)
+    k, n = strategies.shape
+    dm = float(m * d)
+    eye = np.eye(n)
+    rows = np.block([
+        [strategies, np.full((k, 1), dm), np.zeros((k, 1))],
+        [eye, -np.ones((n, 1)), np.zeros((n, 1))],
+        [-eye, -np.ones((n, 1)), np.zeros((n, 1))],
+    ])
+    rhs = np.concatenate([np.ones(k), np.zeros(2 * n)])
+    bounds = [(None, None)] * n + [(0.0, 1.0 / dm), (0.0, None)]
+    return rows, rhs, bounds
+
+
 def maximize_gap_slsqp(counts, trials=20, rng=None):
     """The gap-ratio search by SLSQP restarts over an epigraph variable.
 
@@ -309,18 +352,13 @@ def maximize_gap_slsqp(counts, trials=20, rng=None):
     """
     from scipy.optimize import minimize
 
-    from qoptools.bell import (
-        _gap_pieces,
-        _strategy_matrix,
-        _unstack_coefficients,
-        lhv_bound,
-    )
+    from qoptools.bell import _gap_pieces, _unstack_coefficients, lhv_bound
 
     sc = counts.scenario
     dm = float(sc.outcomes * sc.settings)
     q_vec, g = _gap_pieces(counts)
     n = q_vec.size
-    strategies = _strategy_matrix(sc)
+    strategies = strategy_matrix(sc.settings, sc.outcomes)
     # rows of A z >= 0 encode t - v_k . s >= 0 for z = (s, t)
     a_mat = np.hstack([-strategies, np.ones((strategies.shape[0], 1))])
     rng = np.random.default_rng(rng)

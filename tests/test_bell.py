@@ -1,5 +1,4 @@
 """Bell functionals: bounds, gap search, the tilted family, fits."""
-import itertools
 import json
 import math
 import os
@@ -16,7 +15,6 @@ from qoptools.errors import (
 from qoptools import bell
 from qoptools.bell import (
     _gap_pieces,
-    _strategy_matrix,
     BehaviorTable,
     BellInequality,
     BellScenario,
@@ -84,26 +82,75 @@ def test_lhv_bound_larger_scenarios_against_oracle():
 
 
 def test_strategy_matrix_rows_are_deterministic_behaviors():
+    # the dense strategy rows of the oracles, which the lifted rows replace
     rng = np.random.default_rng(98)
     for m, d in ((2, 3), (3, 2)):
-        rows = _strategy_matrix(BellScenario(m, d))
-        assignments = list(itertools.product(range(d), repeat=m))
-        assert rows.shape[0] == len(assignments) ** 2
-        for k, (a, b) in enumerate(itertools.product(assignments, assignments)):
-            joint = np.zeros((m, m, d, d))
-            marg_a = np.zeros((m, d))
-            marg_b = np.zeros((m, d))
-            for x in range(m):
-                marg_a[x, a[x]] = 1.0
-                marg_b[x, b[x]] = 1.0
-                for y in range(m):
-                    joint[x, y, a[x], b[y]] = 1.0
-            want = np.concatenate([joint.ravel(), marg_a.ravel(), marg_b.ravel()])
-            assert np.array_equal(rows[k], want)
+        rows = oracles.strategy_matrix(m, d)
+        nj = m * m * d * d
+        assert rows.shape == (d ** (2 * m), nj + 2 * m * d)
+        assert len({row.tobytes() for row in rows}) == len(rows)
+        for row in rows:
+            joint = row[:nj].reshape(m, m, d, d)
+            marg_a = row[nj:nj + m * d].reshape(m, d)
+            marg_b = row[nj + m * d:].reshape(m, d)
+            assert set(np.unique(row)) <= {0.0, 1.0}
+            assert np.array_equal(marg_a.sum(axis=1), np.ones(m))
+            assert np.array_equal(marg_b.sum(axis=1), np.ones(m))
+            # a product of the two parties' answers, whose marginals are the one-hot rows
+            assert np.array_equal(joint, np.einsum("xa,yb->xyab", marg_a, marg_b))
         for _ in range(5):
             ineq = _random_inequality(m, d, rng)
             s = np.concatenate([ineq.joint.ravel(), ineq.marg_a.ravel(), ineq.marg_b.ravel()])
             assert abs(np.max(rows @ s) - lhv_bound(ineq)) < 1e-12
+
+
+@pytest.mark.parametrize("m,d", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_lifted_rows_give_the_lhv_bound(m, d):
+    # rows: (alpha, y, b) rows, one row per alpha, then the box; z = (s, tau, r, u)
+    rows = bell._lifted_lp(m, d)[0]
+    count, n = d**m, m * m * d * d + 2 * m * d
+    pairs, alphas = rows[:count * m * d], rows[count * m * d:count * (m * d + 1)]
+    assert rows.shape == (count * (m * d + 1) + 2 * n, n + 2 + count * m)
+    assert pairs[:, n + 2:].sum() == -count * m * d  # -u in every (alpha, y, b) row
+    rng = np.random.default_rng(95 + 10 * m + d)
+    for _ in range(5):
+        ineq = _random_inequality(m, d, rng)
+        s = np.concatenate([ineq.joint.ravel(), ineq.marg_a.ravel(), ineq.marg_b.ravel()])
+        z = np.concatenate([s, [0.0, 0.0], np.zeros(count * m)])
+        # the smallest u[alpha, y] satisfying the (alpha, y, b) rows: max over b
+        u = (pairs @ z).reshape(count, m, d).max(axis=2).ravel()
+        z[n + 2:] = u
+        assert np.all(pairs @ z <= 1e-12)
+        assert abs(np.max(alphas @ z) - lhv_bound(ineq)) < 1e-12
+
+
+@pytest.mark.parametrize("m,d", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_lifted_lp_matches_the_dense_lp(m, d):
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(96 + 10 * m + d)
+    dense, dense_rhs, dense_bounds = oracles.dense_gap_lp(m, d)
+    rows, rhs, bounds = bell._lifted_lp(m, d)
+    n = dense.shape[1] - 2
+    cost = np.concatenate([rng.normal(size=n + 1), [1.0]])  # r is only bounded below
+    want = linprog(cost, A_ub=dense, b_ub=dense_rhs, bounds=dense_bounds, method="highs")
+    got = linprog(np.pad(cost, (0, rows.shape[1] - cost.size)), A_ub=rows, b_ub=rhs,
+                  bounds=bounds, method="highs")
+    assert want.status == got.status == 0
+    assert abs(want.fun - got.fun) <= 1e-9
+
+
+def test_lifted_row_guard(monkeypatch):
+    build = bell._lifted_lp.__wrapped__  # past the cache, so every call checks the guard
+    build(6, 3)  # 13,851 lifted rows
+    build(5, 4)  # 21,504
+    with pytest.raises(TooLargeScenario):
+        build(4, 6)  # 32,400 rows
+    monkeypatch.setattr(bell, "LIFTED_ROW_GUARD", 3**6 * 19)
+    build(6, 3)
+    monkeypatch.setattr(bell, "LIFTED_ROW_GUARD", 3**6 * 19 - 1)
+    with pytest.raises(TooLargeScenario):
+        build(6, 3)
 
 
 def test_strategy_table_is_shared_and_read_only():
@@ -455,8 +502,10 @@ def test_warm_gap_search_is_silent(capfd):
 def test_gap_lp_failure_is_a_qop_error(monkeypatch, warm):
     if not warm:
         monkeypatch.setattr(bell, "_highs", lambda: None)
+    from scipy.sparse import csc_array
+
     # x <= -1 and -x <= -1: no point is feasible
-    lp = bell._GapLP(np.ones(1), np.array([[1.0], [-1.0]]), -np.ones(2),
+    lp = bell._GapLP(np.ones(1), csc_array(np.array([[1.0], [-1.0]])), -np.ones(2),
                      np.array([(-np.inf, np.inf)]))
     with pytest.raises(QopError, match="gap search LP failed"):
         lp.solve()

@@ -424,19 +424,17 @@ def test_bundled_results_are_json_indent_2_text(tmp_path, name):
 
 NAN, INF = float("nan"), float("inf")
 WRITER_CASES = {
-    "nonfinite_in_float_list": {"row": [1.0, NAN, 2.5], "ends": [INF, -INF], "alone": NAN},
     "awkward_floats": [-0.0, 5e-324, 1e16, 1e-5, 0.1, 1e308, -1e308, 2.0**-1074],
     "overflowing_sum": [1e308, 1e308, -0.5],
     "ints_in_float_list": [1.0, 2, 3.5, -4],
     "scalars": [True, False, None, 0, -7, "x", 2**70],
     "top_level_float": 0.1,
-    "top_level_nan": NAN,
     "top_level_string": "a\"b\n\u00e9",
     "tuples": {"pair": (1.0, 2.0), "rows": ((0.5,), (0.25, "s"))},
     "empty": {"list": [], "dict": {}, "nested": [[], {}, [[]]]},
     "float_rows": {"b": [[0.5, -0.25], [1e-300, 3.0]], "a": [[1.0]]},
     "non_ascii": {"ключ": "значение", "é": ["ü", "\u2603"], "b": 1, "A": None},
-    "numpy_floats": [np.float64(0.1), np.float64(NAN), 1.5, np.float64(-INF)],
+    "numpy_floats": [np.float64(0.1), np.float64(-2.0), 1.5, np.float64(1e300)],
     "only_numpy_floats": [np.float64(0.1), np.float64(2.0)],
     "random_64x64_state": matrix_to_dict(random_mixed_state(64, 9).matrix),
 }
@@ -450,6 +448,43 @@ def test_write_json_matches_json_dumps(tmp_path, case):
     path = tmp_path / "out.json"
     cli._write_json(str(path), obj)
     assert path.read_text() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# NaN and infinities are not JSON: the writer refuses them as json.dumps(allow_nan=False) does
+NONFINITE_CASES = {
+    "nonfinite_in_float_list": {"row": [1.0, NAN, 2.5]},
+    "infinities_in_float_list": {"ends": [INF, -INF]},
+    "top_level_nan": NAN,
+    "nan_scalar_in_dict": {"a": [[0.5, 1.0]], "b": NAN},
+    "numpy_nan": [np.float64(0.1), np.float64(NAN), 1.5],
+}
+
+
+@pytest.mark.parametrize("case", NONFINITE_CASES)
+def test_write_json_refuses_non_finite_floats(tmp_path, case):
+    from qoptools import cli
+
+    obj = NONFINITE_CASES[case]
+    with pytest.raises(ValueError):
+        json.dumps(obj, allow_nan=False)
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        cli._write_json(str(path), obj)
+    assert not path.exists()  # nothing is written before the text is complete
+
+
+def test_non_finite_result_exits_one_without_a_result_file(tmp_path, monkeypatch):
+    from click.testing import CliRunner
+
+    from qoptools import bell, cli
+
+    monkeypatch.setattr(bell, "lhv_bound", lambda ineq: float("nan"))
+    out = tmp_path / "out"
+    res = CliRunner().invoke(cli.main, ["bell-lhv", "--config", cfg("bell_lhv_chsh.json"),
+                                        "--out", str(out)])
+    assert res.exit_code == 1
+    assert res.stderr.splitlines()[-1].startswith("error:")
+    assert not (out / "result.json").exists()
 
 
 @pytest.mark.parametrize("obj", [{1: [0.5, 1.0], 0: "a"}, {"a": [1.0, 2.0], "b": {3: 4}}])
@@ -472,6 +507,28 @@ def test_malformed_json_exits_one(tmp_path, outdir):
     proc = run_cli("bell-lhv", "--config", str(config), "--out", outdir)
     assert proc.returncode == 1
     assert "error:" in proc.stderr
+
+
+# global dimension 2^17: a dense D x D matrix of it would take 128 GiB
+OVERSIZED_MARGINAL_PROBLEMS = [
+    ("qmp-sweep", {"N": 17, "d": 2, "k": 2, "m_values": [1], "trials": 1}),
+    ("qmp-solve", {"N": 17, "d": 2, "constraint": {"rank": 1},
+                   "targets": [{"subset": [0, 1], "state": "maximally-mixed"}]}),
+]
+
+
+def test_oversized_marginal_problems_are_refused_before_allocating(tmp_path):
+    # with the address space capped at 1 GiB, an allocation of the problem's
+    # size ends in a MemoryError traceback instead of the guard's error line
+    cap = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+    for i, (command, body) in enumerate(OVERSIZED_MARGINAL_PROBLEMS):
+        config = tmp_path / f"oversized{i}.json"
+        config.write_text(json.dumps(body))
+        proc = launch([sys.executable, "-c", cap + "from qoptools.cli import main\nmain()",
+                       command, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1, proc.stderr
+        last = proc.stderr.splitlines()[-1]
+        assert last == "error: global dimension 2^17 exceeds the guard of 8192"
 
 
 def test_wrong_schema_exits_one(tmp_path, outdir):
@@ -563,6 +620,8 @@ def test_wrong_schema_exits_one(tmp_path, outdir):
         ("bell-lhv", {"inequality": {**chsh, "bound": True}}),
         ("qse-estimate", {"measurements": [{"effects": [{**proj0, "dim": 2.5}, proj1]}],
                           "frequencies": [[0.5, 0.5]]}),
+        # a global dimension past qmp.DIMENSION_GUARD
+        *OVERSIZED_MARGINAL_PROBLEMS,
     ]
     for i, (command, body) in enumerate(cases):
         config = tmp_path / f"wrong{i}.json"
