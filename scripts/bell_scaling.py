@@ -113,7 +113,6 @@ def main(argv=None) -> int:
             "round_cap_hit": res.round_cap_hit,
             "certificate_gap": res.upper_bound - res.ratio,
             "ratio": res.ratio,
-            "lp_solver": res.lp_solver,
         }
         print(json.dumps(row), flush=True)
         rows.append(row)

@@ -328,7 +328,6 @@ class GapResult(NamedTuple):
     upper_bound: float  # no coefficients in the box reach a higher ratio
     rounds: int  # linear programs solved
     round_cap_hit: bool  # the search stopped because it ran GAP_ROUND_CAP rounds
-    lp_solver: str  # "highs-warm" (one HiGHS model, warm-started) or "linprog"
     lp_seconds: float  # time spent in the LP solves
 
 
@@ -362,14 +361,14 @@ def _lifted_lp(m: int, d: int):
     stand in for the d^(2m) dense strategy rows.  Built once per (m, d) and
     shared between searches, so every array is read-only.
     """
-    from scipy.sparse import coo_array
-
     count = d**m
     if count * (m * d + 1) > LIFTED_ROW_GUARD:
         raise TooLargeScenario(
             f"{count * (m * d + 1)} lifted strategy rows exceed the gap search guard "
             f"of {LIFTED_ROW_GUARD}"
         )
+    from scipy.sparse import coo_array
+
     nj, nm = m * m * d * d, m * d
     n = nj + 2 * nm
     tau, cols = n, n + 2 + count * m
@@ -410,9 +409,8 @@ def _lifted_lp(m: int, d: int):
     return rows, rhs, bounds
 
 
-@functools.cache
 def _highs():
-    """HiGHS's own bindings, bundled with scipy since 1.15, or None on older scipy.
+    """HiGHS's own bindings, which scipy bundles since 1.15.
 
     Only the gap search needs scipy, so it is imported here, on the first
     search, and not with this module: importing scipy.optimize loads
@@ -420,80 +418,50 @@ def _highs():
     """
     try:
         from scipy.optimize._highspy import _core
-    except ImportError:  # older scipy: every gap search LP is rebuilt and solved by linprog
-        return None
+    except ImportError as exc:
+        raise QopError(f"bell-optimize needs scipy >= 1.15 (HiGHS bindings): {exc}") from None
     return _core
 
 
 class _GapLP:
     """max objective . z subject to rows z <= rhs, bounds and the norm cuts added so far.
 
-    rows is a scipy CSC array, handed to HiGHS as it is.
-
-    With HiGHS's own bindings one model lives for the whole search and each
-    cut is appended as a row, so the dual simplex restarts from the last
-    optimal basis; without them each solve rebuilds the LP for linprog.
+    rows is a scipy CSC array, handed to HiGHS as it is.  One model lives
+    for the whole search and each cut is appended as a row, so the dual
+    simplex restarts from the last optimal basis.
     """
 
     def __init__(self, objective, rows, rhs, bounds):
-        self.cost, self.rows, self.rhs, self.bounds = -objective, rows, rhs, bounds
-        self.cuts = []  # linprog path only
+        self.highs = _highs()  # imports scipy here, outside the timed solves
         self.seconds = 0.0
-        highs = _highs()  # imports scipy here, outside the timed solves
-        self.model = None if highs is None else self._highs_model(highs)
-        self.solver = "linprog" if self.model is None else "highs-warm"
-
-    def _highs_model(self, highs):
-        a = self.rows
-        lp = highs.HighsLp()
-        lp.num_row_, lp.num_col_ = a.shape
-        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
-        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
-        lp.col_cost_ = self.cost
-        lp.col_lower_, lp.col_upper_ = self.bounds[:, 0], self.bounds[:, 1]
-        lp.row_lower_, lp.row_upper_ = np.full(a.shape[0], -np.inf), self.rhs
-        model = highs._Highs()
-        model.setOptionValue("output_flag", False)
-        model.setOptionValue("primal_feasibility_tolerance", LP_TOL)
-        model.setOptionValue("dual_feasibility_tolerance", LP_TOL)
-        model.passModel(lp)
-        return model
+        lp = self.highs.HighsLp()
+        lp.num_row_, lp.num_col_ = rows.shape
+        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = rows.shape
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = (
+            rows.indptr, rows.indices, rows.data)
+        lp.col_cost_ = -objective
+        lp.col_lower_, lp.col_upper_ = bounds[:, 0], bounds[:, 1]
+        lp.row_lower_, lp.row_upper_ = np.full(rows.shape[0], -np.inf), rhs
+        self.model = self.highs._Highs()
+        self.model.setOptionValue("output_flag", False)
+        self.model.setOptionValue("primal_feasibility_tolerance", LP_TOL)
+        self.model.setOptionValue("dual_feasibility_tolerance", LP_TOL)
+        self.model.passModel(lp)
 
     def add_cut(self, row: np.ndarray) -> None:
         """Add the row row . z <= 0; columns past the end of row are zero."""
-        if self.model is None:
-            self.cuts.append(np.pad(row, (0, self.rows.shape[1] - row.size)))
-            return
         index = np.flatnonzero(row).astype(np.int32)
         self.model.addRow(-np.inf, 0.0, index.size, index, row[index])
 
     def solve(self) -> tuple[np.ndarray, float]:
         """An optimal point z and the optimal value."""
         started = time.perf_counter()
-        if self.model is None:
-            from scipy.optimize import linprog
-            from scipy.sparse import csr_array, vstack
-
-            rows = vstack([self.rows, csr_array(np.array(self.cuts))]) if self.cuts else self.rows
-            res = linprog(
-                self.cost,
-                A_ub=rows,
-                b_ub=np.concatenate([self.rhs, np.zeros(len(self.cuts))]),
-                bounds=self.bounds,
-                method="highs",
-                options={"primal_feasibility_tolerance": LP_TOL,
-                         "dual_feasibility_tolerance": LP_TOL},
-            )
-            if res.status != 0:
-                raise QopError(f"gap search LP failed: {res.message}")
-            x, fun = res.x, res.fun
-        else:
-            self.model.run()
-            status = self.model.getModelStatus()
-            if status != _highs().HighsModelStatus.kOptimal:
-                raise QopError(f"gap search LP failed: {self.model.modelStatusToString(status)}")
-            x = np.array(self.model.getSolution().col_value)
-            fun = self.model.getInfo().objective_function_value
+        self.model.run()
+        status = self.model.getModelStatus()
+        if status != self.highs.HighsModelStatus.kOptimal:
+            raise QopError(f"gap search LP failed: {self.model.modelStatusToString(status)}")
+        x = np.array(self.model.getSolution().col_value)
+        fun = self.model.getInfo().objective_function_value
         self.seconds += time.perf_counter() - started
         return x, -float(fun)
 
@@ -541,9 +509,10 @@ def maximize_gap(counts: CountsTable, trials: int = 20, rng=None) -> GapResult:
         raise InvalidInput("trials must be at least 1")
     sc = counts.scenario
     dm = float(sc.outcomes * sc.settings)
+    # the row guard first: the cell arrays of _gap_pieces grow as (m d)^4
+    rows, rhs, bounds = _lifted_lp(sc.settings, sc.outcomes)
     q_vec, g = _gap_pieces(counts)
     n = q_vec.size
-    rows, rhs, bounds = _lifted_lp(sc.settings, sc.outcomes)
     # variables z = (y, tau, r, u); only y, tau and r enter the objective and the cuts
     objective = np.zeros(rows.shape[1])
     objective[:n + 2] = np.concatenate([q_vec, [dm, -1.0]])
@@ -570,7 +539,7 @@ def maximize_gap(counts: CountsTable, trials: int = 20, rng=None) -> GapResult:
         capped = True
     ratio, sol, c, q, dq = best
     return GapResult(_unstack_coefficients(sol, sc, bound=c), ratio, q, dq, c, upper, rounds,
-                     capped, lp.solver, lp.seconds)
+                     capped, lp.seconds)
 
 
 class TiltedFamily(NamedTuple):
@@ -747,8 +716,7 @@ def _table_from_dict(obj: dict, key: str) -> np.ndarray:
         raise InvalidInput(f"malformed {key} file: {exc}") from exc
     if not isinstance(entries, dict):
         raise InvalidInput(f"{key} must be an object keyed by 'x,y', got {type(entries).__name__}")
-    out = np.zeros((m, m, d, d))
-    seen = set()
+    blocks = {}
     for cell, block in entries.items():
         try:
             x, y = (int(t) for t in str(cell).split(","))
@@ -759,10 +727,13 @@ def _table_from_dict(obj: dict, key: str) -> np.ndarray:
         arr = config_array(block, f"{key} block {cell!r}")
         if arr.shape != (d, d):
             raise InvalidInput(f"{key} block {cell!r} has shape {arr.shape}, expected ({d}, {d})")
-        out[x, y] = arr
-        seen.add((x, y))
-    if len(seen) != m * m:
+        blocks[x, y] = arr
+    if len(blocks) != m * m:
         raise InvalidInput(f"{key} must cover all {m*m} setting pairs")
+    # allocated only now, so the table is no larger than the blocks read
+    out = np.zeros((m, m, d, d))
+    for (x, y), arr in blocks.items():
+        out[x, y] = arr
     return out
 
 

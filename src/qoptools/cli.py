@@ -314,7 +314,6 @@ def bell_optimize(cfg, run):
         "certificate_gap": res.upper_bound - res.ratio,
         "round_cap_hit": res.round_cap_hit,
         "zero_inequality": not (ineq.joint.any() or ineq.marg_a.any() or ineq.marg_b.any()),
-        "lp_solver": res.lp_solver,
         "lp_seconds": res.lp_seconds,
     }
     if search["round_cap_hit"]:
@@ -409,7 +408,7 @@ def qmp_sweep(cfg, run):
     """Count PSD outcomes of random marginal impositions."""
     if cfg.get("m_values") is None:
         lo, hi = _integers(cfg, "m_range", 2)
-        m_values = list(range(lo, hi + 1))
+        m_values = range(lo, hi + 1)
     else:
         m_values = _integers(cfg, "m_values")
     result = {

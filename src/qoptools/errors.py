@@ -26,7 +26,7 @@ class InvalidMeasurementKind(QopError):
 
 
 class TooLargeScenario(QopError):
-    """A problem exceeds a size guard: strategies, gap search LP rows or global dimension."""
+    """A problem exceeds a size guard: strategies, LP rows, global dimension or qubits."""
 
 
 class UnsupportedOutcomes(QopError):

@@ -638,9 +638,14 @@ def npm_sweep(
         raise InvalidInput(f"unknown generator mode {generator!r}")
     if trials < 1:
         raise InvalidInput("trials must be positive")
-    m_list = [int(m) for m in m_values]
     n_subsets = math.comb(n_parties, k)
-    if not m_list or any(m < 0 or m > n_subsets for m in m_list):
+    m_list = []
+    for m in map(int, m_values):  # one at a time, so a long range stops at its first bad m
+        if not 0 <= m <= n_subsets:
+            m_list = []
+            break
+        m_list.append(m)
+    if not m_list:
         raise InvalidInput(f"need at least one m value, each in 0..{n_subsets}")
     streams = iter(as_rng(rng).spawn(len(m_list) * trials))
     return [

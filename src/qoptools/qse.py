@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateEffect, InvalidInput, InvalidMeasurementKind
+from .errors import DegenerateEffect, InvalidInput, InvalidMeasurementKind, TooLargeScenario
 from .mathcore import (
     _PAULIS,
     MeasurementKind,
@@ -39,6 +39,12 @@ from .mathcore import (
     qubit_mub_bases,
     random_mixed_state,
 )
+
+# qubits of the Pauli protocol at most: its 3^n bases and the 3^n x 2^n index
+# table of _PauliFrame grow about 6x per qubit.  Peak RSS of building both:
+# 45 MB at 8 qubits, 116 MB at 9 and 524 MB at 10 (one process, numpy
+# 2.4.6); the int64 table alone takes 2.9 GB at 11 and 17 GB at 12
+PAULI_QUBIT_GUARD = 10
 
 
 @dataclass(frozen=True)
@@ -457,6 +463,10 @@ def measurement_protocol(n_qubits: int, protocol: str) -> list[MeasurementSet]:
             return mub_bases(2)
         return qubit_mub_bases(n)
     if protocol == "pauli":
+        if n > PAULI_QUBIT_GUARD:
+            raise TooLargeScenario(
+                f"{n} qubits exceed the Pauli protocol guard of {PAULI_QUBIT_GUARD}"
+            )
         return pauli_product_bases(n)
     raise InvalidInput(f"unknown protocol {protocol!r}")
 

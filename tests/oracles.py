@@ -402,3 +402,60 @@ def maximize_gap_slsqp(counts, trials=20, rng=None):
     if best[1] is None:
         return 1.0, np.zeros(n)
     return best
+
+
+def maximize_gap_linprog(counts):
+    """The Kelley gap search of bell.maximize_gap, every LP rebuilt and solved cold.
+
+    Each round stacks the norm cuts found so far below the rows of
+    bell._lifted_lp and hands the whole program to linprog(method="highs")
+    at the search's LP_TOL; the scoring and stop rule are the search's.
+    Returns (ratio, upper_bound, rounds).
+    """
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_array, vstack
+
+    from qoptools.bell import (
+        GAP_ROUND_CAP,
+        GAP_TOL,
+        LP_TOL,
+        _gap_pieces,
+        _lifted_lp,
+        _unstack_coefficients,
+        lhv_bound,
+    )
+
+    sc = counts.scenario
+    dm = float(sc.outcomes * sc.settings)
+    q_vec, g = _gap_pieces(counts)
+    n = q_vec.size
+    rows, rhs, bounds = _lifted_lp(sc.settings, sc.outcomes)
+    cost = np.zeros(rows.shape[1])
+    cost[:n + 2] = -np.concatenate([q_vec, [dm, -1.0]])
+    cuts = []
+    best = 1.0
+    for rounds in range(1, GAP_ROUND_CAP + 1):
+        res = linprog(
+            cost,
+            A_ub=vstack([rows, csr_array(np.array(cuts))]) if cuts else rows,
+            b_ub=np.concatenate([rhs, np.zeros(len(cuts))]),
+            bounds=bounds,
+            method="highs",
+            options={"primal_feasibility_tolerance": LP_TOL, "dual_feasibility_tolerance": LP_TOL},
+        )
+        assert res.status == 0, res.message
+        upper = -float(res.fun)
+        y, tau, r = res.x[:n], res.x[n], res.x[n + 1]
+        sol = np.clip(y / tau, -1.0, 1.0)
+        c = lhv_bound(_unstack_coefficients(sol, sc))
+        if c >= -1e-9:
+            value = (float(q_vec @ sol) - float(np.linalg.norm(g @ sol)) + dm) / (c + dm)
+            best = max(best, value)
+        gy = g @ y
+        norm = float(np.linalg.norm(gy))
+        if norm - r <= GAP_TOL or upper - best <= GAP_TOL:
+            break
+        cut = np.zeros(rows.shape[1])
+        cut[:n + 2] = np.concatenate([gy @ g / norm, [0.0, -1.0]])
+        cuts.append(cut)
+    return best, upper, rounds

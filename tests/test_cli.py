@@ -93,11 +93,11 @@ def test_console_script_installed():
 
 
 # runs four commands in-process, then bell-optimize; prints which scipy
-# modules the four loaded, and what the gap search loaded and reported
+# modules the four loaded, and what the gap search loaded
 SCIPY_PROBE = """
 import json, os, sys
 import qoptools
-from qoptools import bell, cli
+from qoptools import cli
 
 configs, out = sys.argv[1:]
 
@@ -115,10 +115,8 @@ for command, name in [("qse-estimate", "qse_estimate_mub1.json"),
     run(command, name)
 before = sorted(m for m in sys.modules if m.startswith("scipy"))
 run("bell-optimize", "bell_optimize_chsh.json")
-with open(os.path.join(out, "bell-optimize", "run_info.json")) as fh:
-    solver = json.load(fh)["lp_solver"]
 print(json.dumps({"before": before, "optimize": "scipy.optimize" in sys.modules,
-                  "lp_solver": solver, "bindings": bell._highs() is not None}))
+                  "bindings": "scipy.optimize._highspy._core" in sys.modules}))
 """
 
 
@@ -128,7 +126,7 @@ def test_only_the_gap_search_imports_scipy(tmp_path):
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["before"] == []
     assert seen["optimize"] is True
-    assert seen["lp_solver"] == ("highs-warm" if seen["bindings"] else "linprog")
+    assert seen["bindings"] is True
 
 
 @pytest.mark.parametrize("demo", ["bell_gap_demo.py", "estimation_demo.py", "marginal_demo.py"])
@@ -236,10 +234,47 @@ def test_bell_optimize_small(tmp_path, outdir):
     assert info["round_cap_hit"] is False
     assert info["zero_inequality"] is False
     assert "zero inequality" not in proc.stderr
-    # the LP path is named, never silent; this process has the child's scipy
-    from qoptools import bell
-    assert info["lp_solver"] == ("linprog" if bell._highs() is None else "highs-warm")
     assert 0.0 < info["lp_seconds"] <= info["runtime_seconds"]
+
+
+def test_bell_optimize_without_the_highs_bindings_exits_one(monkeypatch, outdir):
+    # an older scipy, or one that moved the private bindings: None in
+    # sys.modules makes the import inside bell._highs() fail
+    from click.testing import CliRunner
+
+    from qoptools import cli
+
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy", None)
+    res = CliRunner().invoke(cli.main, ["bell-optimize", "--config", cfg("bell_optimize_chsh.json"),
+                                        "--out", outdir])
+    assert res.exit_code == 1
+    errors = [ln for ln in res.stderr.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "scipy >= 1.15" in errors[0], res.stderr
+    assert "Traceback" not in res.stderr
+    assert not os.path.exists(os.path.join(outdir, "result.json"))
+
+
+def test_bell_optimize_refuses_a_large_scenario_before_allocating(tmp_path, outdir):
+    # (m, d) = (10, 8): the cell arrays of the gap search would take about 1 GB
+    import tracemalloc
+
+    from click.testing import CliRunner
+
+    from qoptools import bell, cli
+
+    config = tmp_path / "large.json"
+    config.write_text(json.dumps(
+        {"counts": bell.counts_to_dict(bell.CountsTable(np.ones((10, 10, 8, 8))))}))
+    tracemalloc.start()
+    try:
+        res = CliRunner().invoke(cli.main, ["bell-optimize", "--config", str(config),
+                                            "--out", outdir])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 1
+    assert "exceed the gap search guard" in res.stderr
+    assert peak < 50e6
 
 
 def test_bell_optimize_converging_on_the_last_round_is_not_capped(monkeypatch, outdir):
@@ -622,6 +657,13 @@ def test_wrong_schema_exits_one(tmp_path, outdir):
                           "frequencies": [[0.5, 0.5]]}),
         # a global dimension past qmp.DIMENSION_GUARD
         *OVERSIZED_MARGINAL_PROBLEMS,
+        # sizes that used to allocate before their check: a list of 2^62 m
+        # values, and a 128 GiB counts table for one 1 x 1 block
+        ("qmp-sweep", {**sweep, "m_range": [0, 2**62]}),
+        ("bell-optimize", {"counts": {"m": 1, "d": 2**17, "counts": {"0,0": [[1]]}}}),
+        # qubits past qse.PAULI_QUBIT_GUARD
+        ("qse-benchmark", {"protocol": "pauli", "qubits": 11, "trials": 2}),
+        ("qse-estimate", {**mub1, "measurements": {"protocol": "pauli", "qubits": 11}}),
     ]
     for i, (command, body) in enumerate(cases):
         config = tmp_path / f"wrong{i}.json"

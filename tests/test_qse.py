@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from qoptools.errors import DegenerateEffect, InvalidInput
+from qoptools.errors import DegenerateEffect, InvalidInput, TooLargeScenario
 from qoptools.mathcore import (
     MeasurementSet,
     fidelity,
@@ -201,6 +201,15 @@ def test_measurement_protocol_counts():
     assert len(measurement_protocol(2, "pauli")) == 9
     with pytest.raises(InvalidInput):
         measurement_protocol(1, "tomography")
+
+
+def test_pauli_protocol_qubit_guard(monkeypatch):
+    from qoptools import qse
+
+    monkeypatch.setattr(qse, "PAULI_QUBIT_GUARD", 2)
+    assert len(measurement_protocol(2, "pauli")) == 9
+    with pytest.raises(TooLargeScenario, match="3 qubits exceed the Pauli protocol guard of 2"):
+        measurement_protocol(3, "pauli")
 
 
 def _kron_pauli_bases(n):
