@@ -692,21 +692,6 @@ def format_inequality(ineq: BellInequality) -> str:
     return text
 
 
-def chsh_inequality() -> BellInequality:
-    """CHSH in the outcome-0 probability form with LHV bound 0."""
-    sc = BellScenario(2, 2)
-    joint = np.zeros((2, 2, 2, 2))
-    joint[0, 0, 0, 0] = 1.0
-    joint[0, 1, 0, 0] = 1.0
-    joint[1, 0, 0, 0] = 1.0
-    joint[1, 1, 0, 0] = -1.0
-    marg_a = np.zeros((2, 2))
-    marg_a[0, 0] = -1.0
-    marg_b = np.zeros((2, 2))
-    marg_b[0, 0] = -1.0
-    return BellInequality(joint, marg_a, marg_b, sc, bound=0.0)
-
-
 def _table_from_dict(obj: dict, key: str) -> np.ndarray:
     """Decode {"m", "d", key: {"x,y": [[...d x d...]], ...}} into an (m, m, d, d) array."""
     try:
@@ -737,28 +722,22 @@ def _table_from_dict(obj: dict, key: str) -> np.ndarray:
     return out
 
 
-def _table_to_dict(arr: np.ndarray, key: str) -> dict:
-    """Encode an (m, m, d, d) array as {"m", "d", key: {"x,y": [[...]], ...}}."""
-    m, d = arr.shape[0], arr.shape[2]
-    return {"m": m, "d": d, key: {f"{x},{y}": arr[x, y].tolist() for x, y in np.ndindex(m, m)}}
-
-
 def counts_from_dict(obj: dict) -> CountsTable:
     """Parse {"m", "d", "counts": {"x,y": [[...]], ...}}."""
     return CountsTable(_table_from_dict(obj, "counts"))
 
 
 def counts_to_dict(counts: CountsTable) -> dict:
-    return _table_to_dict(counts.counts, "counts")
+    """Encode as {"m", "d", "counts": {"x,y": [[...]], ...}}, the form counts_from_dict reads."""
+    arr = counts.counts
+    m, d = arr.shape[0], arr.shape[2]
+    blocks = {f"{x},{y}": arr[x, y].tolist() for x, y in np.ndindex(m, m)}
+    return {"m": m, "d": d, "counts": blocks}
 
 
 def behavior_from_dict(obj: dict) -> BehaviorTable:
     """Parse {"m", "d", "behavior": {"x,y": [[...]], ...}}."""
     return BehaviorTable(_table_from_dict(obj, "behavior"))
-
-
-def behavior_to_dict(behavior: BehaviorTable) -> dict:
-    return _table_to_dict(behavior.table, "behavior")
 
 
 def inequality_from_dict(obj: dict) -> BellInequality:

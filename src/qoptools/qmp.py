@@ -48,7 +48,6 @@ from .mathcore import (
     hs_distance,
     load_ref,
     matrix_from_dict,
-    matrix_to_dict,
     partial_trace,
     random_mixed_state,
     random_pure_state,
@@ -647,9 +646,10 @@ def npm_sweep(
         m_list.append(m)
     if not m_list:
         raise InvalidInput(f"need at least one m value, each in 0..{n_subsets}")
-    streams = iter(as_rng(rng).spawn(len(m_list) * trials))
+    parent = as_rng(rng)
+    # one stream spawned as each trial starts: the streams of one spawn of them all
     return [
-        (m, sum(_npm_trial(n_parties, k, local_dim, m, generator, next(streams))
+        (m, sum(_npm_trial(n_parties, k, local_dim, m, generator, parent.spawn(1)[0])
                 for _ in range(trials)))
         for m in m_list
     ]
@@ -690,15 +690,3 @@ def problem_from_dict(obj: dict, base_dir=None) -> tuple[MarginalSpec, SpectralC
             mat = load_ref(state, base_dir, matrix_from_dict)
         targets.append((subset, mat))
     return MarginalSpec(n, d, targets), constraint
-
-
-def problem_to_dict(spec: MarginalSpec, constraint: SpectralConstraint) -> dict:
-    targets = [
-        {"subset": list(sub), "state": matrix_to_dict(sigma.matrix)}
-        for sub, sigma in spec.targets
-    ]
-    if constraint.mode == "rank":
-        cons = {"rank": constraint.rank}
-    else:
-        cons = {"spectra": [float(x) for x in constraint.spectrum]}
-    return {"N": spec.n_parties, "d": spec.local_dim, "targets": targets, "constraint": cons}

@@ -320,13 +320,16 @@ class _PauliFrame:
     def impose(self, r: np.ndarray, frequencies) -> np.ndarray:
         """One pass imposing every basis in turn, as `impose_pvm` does densely.
 
-        Imposing basis c on frequencies f moves only its strings:
-        g <- g + H (f - H g / D) is rho + sum_k (f_k - p_k) P_k in coordinates.
+        Imposing basis c on frequencies f moves only its strings g, to
+        g + H (f - H g / D), the coordinates of rho + sum_k (f_k - p_k) P_k.
+        H H = D I turns that into H f whatever g was, so each basis assigns
+        H f to its strings (the last basis that measures a string sets it),
+        and a second pass writes the same values: its residual is exactly 0.
         """
-        r, d = r.copy(), 2**self.n
-        for strings, freq in zip(self.strings, frequencies):
-            g = r[strings]
-            r[strings] = g + self.hadamard @ (freq - self.hadamard @ g / d)
+        r = r.copy()
+        values = np.asarray(frequencies) @ self.hadamard  # H is symmetric
+        for strings, value in zip(self.strings, values):
+            r[strings] = value
         return r
 
 
@@ -379,8 +382,8 @@ def simulate_frequencies(
     total.  Observable-expectation sets only support the exact mode;
     their entries are expectation values, not outcome probabilities.
     Pauli product bases are read out all at once from the Pauli
-    coordinates, and their counts drawn by one Poisson call, in the
-    order of the sets and outcomes.
+    coordinates.  The counts of all sets are drawn by one Poisson call,
+    in the order of the sets and outcomes.
     """
     rng = as_rng(rng)
     d = rho_gen.dim
@@ -388,33 +391,23 @@ def simulate_frequencies(
     noisy = (1.0 - lam) * rho_gen.matrix + lam * np.eye(d) / d
     frame = _PauliFrame.of(measurements)
     if frame is not None:
-        probs = np.clip(frame.probabilities(frame.coordinates(noisy)), 0.0, None)
-        if noise.samples_per_basis is None:
-            return list(probs)
-        counts = rng.poisson(noise.samples_per_basis * probs).astype(float)
-        totals = counts.sum(axis=1, keepdims=True)
-        # a row without counts falls back to uniform, as below
-        return list(np.divide(counts, totals, out=np.full_like(counts, 1.0 / d), where=totals > 0))
+        values = list(frame.probabilities(frame.coordinates(noisy)))
+    else:
+        values = [born_probabilities(noisy, meas) for meas in measurements]
+    observable = [meas.kind is MeasurementKind.OBSERVABLE_BASIS for meas in measurements]
+    probs = [v if obs else np.clip(v, 0.0, None) for v, obs in zip(values, observable)]
+    if noise.samples_per_basis is None:
+        return probs
+    if any(observable):
+        raise InvalidMeasurementKind(
+            "finite-sample simulation is undefined for expectation targets"
+        )
+    counts = rng.poisson(noise.samples_per_basis * np.concatenate(probs)).astype(float)
     out = []
-    for meas in measurements:
-        values = born_probabilities(noisy, meas)
-        if meas.kind is MeasurementKind.OBSERVABLE_BASIS:
-            if noise.samples_per_basis is not None:
-                raise InvalidMeasurementKind(
-                    "finite-sample simulation is undefined for expectation targets"
-                )
-            out.append(values)
-            continue
-        probs = np.clip(values, 0.0, None)
-        if noise.samples_per_basis is None:
-            out.append(probs)
-            continue
-        counts = rng.poisson(noise.samples_per_basis * probs).astype(float)
-        total = counts.sum()
-        if total == 0:  # astronomically unlikely at sensible n, but keep it finite
-            out.append(np.full(len(meas), 1.0 / len(meas)))
-        else:
-            out.append(counts / total)
+    for c in np.split(counts, np.cumsum([len(p) for p in probs])[:-1]):
+        total = c.sum()
+        # a set without counts, astronomically unlikely at sensible n, falls back to uniform
+        out.append(c / total if total > 0 else np.full(len(c), 1.0 / len(c)))
     return out
 
 
@@ -424,16 +417,16 @@ def _fidelity_trials(measurements, noise: NoiseModel, trials: int, base: int, dr
     Trial t draws from the stream seeded base + t: first its true state,
     draw_state(stream), then the counts that are estimated from.
     """
-    fid = np.empty(trials)
-    iters = np.empty(trials)
+    fid, iters = [], []  # grown per trial: nothing is held for trials not yet run
     for t in range(trials):
         trial_rng = as_rng(base + t)
         rho_gen = draw_state(trial_rng)
         freqs = simulate_frequencies(rho_gen, measurements, noise, trial_rng)
         result = estimate(EstimationProblem(tuple(measurements), tuple(freqs)))
-        fid[t] = fidelity(result.state, rho_gen)
-        iters[t] = result.iterations
-    return float(fid.mean()), float(fid.std(ddof=1) / math.sqrt(trials)), float(iters.mean())
+        fid.append(fidelity(result.state, rho_gen))
+        iters.append(result.iterations)
+    fid = np.array(fid)
+    return float(fid.mean()), float(fid.std(ddof=1) / math.sqrt(trials)), float(np.mean(iters))
 
 
 def bootstrap_fidelity(

@@ -21,10 +21,8 @@ from qoptools.bell import (
     CountsTable,
     behavior_from_dict,
     behavior_from_state,
-    behavior_to_dict,
     behavior_value,
     canonical_form,
-    chsh_inequality,
     counts_from_dict,
     counts_to_dict,
     efficiency_threshold,
@@ -39,6 +37,18 @@ from qoptools.bell import (
 from qoptools.mathcore import MeasurementSet, QuantumState, random_mixed_state
 
 import oracles
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def _bundled(name):
+    with open(os.path.join(CONFIGS, name)) as fh:
+        return json.load(fh)
+
+
+def _chsh():
+    """The bundled CHSH inequality: outcome-0 probability form, LHV bound 0."""
+    return inequality_from_dict(_bundled("chsh.json"))
 
 
 def _random_inequality(m, d, rng):
@@ -178,7 +188,7 @@ def test_gap_pieces_match_quantum_value():
 
 
 def test_lhv_bound_chsh_is_zero():
-    assert lhv_bound(chsh_inequality()) == 0.0
+    assert lhv_bound(_chsh()) == 0.0
 
 
 def test_lhv_bound_refuses_an_overflowing_value():
@@ -210,7 +220,7 @@ def test_local_behaviors_never_beat_the_bound():
 
 def test_behavior_value_matches_direct_sum():
     rng = np.random.default_rng(93)
-    chsh = chsh_inequality()
+    chsh = _chsh()
     for _ in range(5):
         beh = _local_behavior(2, 2, rng)
         want = oracles.bell_value_sum(chsh.joint, chsh.marg_a, chsh.marg_b, beh.table)
@@ -219,7 +229,7 @@ def test_behavior_value_matches_direct_sum():
 
 def test_quantum_value_and_poisson_error():
     rng = np.random.default_rng(94)
-    chsh = chsh_inequality()
+    chsh = _chsh()
     counts = rng.integers(2000, 9000, size=(2, 2, 2, 2)).astype(float)
     q, dq = quantum_value(chsh, CountsTable(counts))
 
@@ -447,9 +457,7 @@ def test_maximize_gap_reports_the_values_it_scored(m, d):
 
 
 def test_maximize_gap_bundled_chsh_counts_ratio():
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "chsh_counts.json")
-    with open(path) as fh:
-        counts = counts_from_dict(json.load(fh))
+    counts = counts_from_dict(_bundled("chsh_counts.json"))
     res = maximize_gap(counts)
     assert abs(res.ratio - 1.2067532277959543) <= 1e-9
 
@@ -522,7 +530,9 @@ def test_counts_round_trip():
 def test_behavior_round_trip():
     rng = np.random.default_rng(100)
     beh = _local_behavior(2, 2, rng)
-    back = behavior_from_dict(behavior_to_dict(beh))
+    obj = {"m": 2, "d": 2,
+           "behavior": {f"{x},{y}": beh.table[x, y].tolist() for x, y in np.ndindex(2, 2)}}
+    back = behavior_from_dict(obj)
     assert np.abs(back.table - beh.table).max() == 0.0
 
 
@@ -543,6 +553,6 @@ def test_counts_from_dict_wants_complete_tables():
 
 
 def test_format_inequality_mentions_nonzero_terms():
-    text = format_inequality(chsh_inequality())
+    text = format_inequality(_chsh())
     assert "p(" in text
     assert "00|00" in text.replace(" ", "")

@@ -173,6 +173,23 @@ def test_qse_estimate_povm_config(tmp_path, outdir):
     assert result["fidelity"] > 1 - 1e-12
 
 
+def test_qse_estimate_pauli_protocol_at_zero_epsilon(tmp_path, outdir):
+    gen = random_mixed_state((2, 2), np.random.default_rng(79))
+    meas = qoptools.qse.measurement_protocol(2, "pauli")
+    config = tmp_path / "pauli.json"
+    config.write_text(json.dumps({
+        "measurements": {"protocol": "pauli", "qubits": 2},
+        "frequencies": [qoptools.qse.born_probabilities(gen, m).tolist() for m in meas],
+        "epsilon": 0,
+    }))
+    proc = run_cli("qse-estimate", "--config", str(config), "--out", outdir)
+    assert proc.returncode == 0, proc.stderr
+    result = read_json(os.path.join(outdir, "result.json"))
+    assert result["converged"] is True
+    assert result["iterations"] == 2
+    assert result["residual"] == 0.0
+
+
 def test_dump_state_false_leaves_the_state_out(tmp_path, outdir):
     config = tmp_path / "est.json"
     config.write_text(json.dumps(

@@ -13,6 +13,7 @@ from qoptools.errors import (
 from qoptools.mathcore import (
     fidelity,
     hs_distance,
+    matrix_to_dict,
     partial_trace,
     random_mixed_state,
     random_pure_state,
@@ -29,13 +30,13 @@ from qoptools.qmp import (
     impose_spectrum,
     npm_sweep,
     problem_from_dict,
-    problem_to_dict,
     solve,
     solve_accelerated,
     spec_from_generator,
 )
 
 import oracles
+from test_qse import Sentinel, fail_on_third_call
 
 
 def test_embed_matches_loop_oracle():
@@ -563,6 +564,13 @@ def test_npm_sweep_pure_generators_rarely_psd():
     assert dict(res)[6] <= 2
 
 
+def test_npm_sweep_spawns_streams_per_trial_not_up_front(monkeypatch):
+    # a huge trial count must reach its trials, not spawn a stream for each first
+    monkeypatch.setattr(qmp, "_npm_trial", fail_on_third_call(True))
+    with pytest.raises(Sentinel):
+        npm_sweep(4, 2, 2, [1], trials=10**11, rng=0)
+
+
 def test_npm_sweep_validation():
     with pytest.raises(InvalidInput):
         npm_sweep(4, 4, 2, [1], trials=5, rng=0)
@@ -579,7 +587,9 @@ def test_problem_dict_round_trip(tmp_path):
     gen = random_mixed_state((2, 2, 2), rng)
     spec = spec_from_generator(gen, [(0, 1), (1, 2)])
     con = SpectralConstraint.with_rank(2)
-    obj = problem_to_dict(spec, con)
+    obj = {"N": 3, "d": 2, "constraint": {"rank": 2},
+           "targets": [{"subset": list(sub), "state": matrix_to_dict(sigma.matrix)}
+                       for sub, sigma in spec.targets]}
     spec2, con2 = problem_from_dict(obj)
     assert spec2.n_parties == 3 and spec2.local_dim == 2
     assert con2.mode == "rank" and con2.rank == 2
@@ -590,8 +600,6 @@ def test_problem_dict_round_trip(tmp_path):
 
 def test_problem_from_dict_tokens_and_paths(tmp_path):
     import json
-
-    from qoptools.mathcore import matrix_to_dict
 
     sigma = random_mixed_state((2, 2), np.random.default_rng(127)).matrix
     path = tmp_path / "sigma.json"

@@ -15,6 +15,7 @@ from qoptools.mathcore import (
     random_pure_state,
 )
 from qoptools.qse import (
+    _fidelity_trials,
     EstimationProblem,
     ImpositionTarget,
     NoiseModel,
@@ -339,6 +340,20 @@ def test_estimate_noisy_data_still_two_passes():
     assert 0.8 < fidelity(result.state, gen) <= 1.0
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pauli_estimate_at_zero_accuracy_stops_after_two_passes(n):
+    # a pass assigns H f to the strings of every basis, so the confirming
+    # pass writes the same values and moves nothing, not even by rounding
+    rng = np.random.default_rng(80 + n)
+    gen = random_mixed_state((2,) * n, rng)
+    meas = measurement_protocol(n, "pauli")
+    freqs = simulate_frequencies(gen, meas, NoiseModel(0.1, 100 * 2**n), rng)
+    result = estimate(EstimationProblem(tuple(meas), tuple(freqs), accuracy=0.0))
+    assert result.converged
+    assert result.iterations == 2
+    assert result.residual == 0.0
+
+
 def test_estimate_output_is_a_state():
     rng = np.random.default_rng(74)
     gen = random_mixed_state(2, rng)
@@ -415,6 +430,31 @@ def test_bootstrap_fidelity_reproducible_and_sane():
     assert (f1, s1) == (f2, s2)
     assert 0.9 < f1 <= 1.0
     assert 0.0 <= s1 < 0.05
+
+
+class Sentinel(Exception):
+    pass
+
+
+def fail_on_third_call(result):
+    """A stand-in that returns result twice, then raises Sentinel."""
+    calls = []
+
+    def stand_in(*_):
+        calls.append(None)
+        if len(calls) == 3:
+            raise Sentinel
+        return result
+
+    return stand_in
+
+
+def test_fidelity_trials_allocate_per_trial_not_up_front():
+    # a huge trial count must reach its trials, not fail allocating for all of them
+    gen = random_mixed_state(2, np.random.default_rng(81))
+    with pytest.raises(Sentinel):
+        _fidelity_trials(measurement_protocol(1, "mub"), NoiseModel(0.1, 200), 10**11, 0,
+                         fail_on_third_call(gen))
 
 
 def test_run_benchmark_smoke():
