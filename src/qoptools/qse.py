@@ -11,6 +11,8 @@ matrices at the end.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -45,6 +47,11 @@ from .mathcore import (
 # 45 MB at 8 qubits, 116 MB at 9 and 524 MB at 10 (one process, numpy
 # 2.4.6); the int64 table alone takes 2.9 GB at 11 and 17 GB at 12
 PAULI_QUBIT_GUARD = 10
+
+# a pass that moves the iterate by at most this many machine epsilons times its
+# Hilbert-Schmidt norm has converged: past a fixed point the dense path's passes
+# still move it by rounding (about 1e-16), so accuracy 0 would never stop
+ROUNDING_FLOOR = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -199,7 +206,8 @@ def estimate(problem: EstimationProblem) -> EstimationResult:
     """Iterate imposition passes from the maximally mixed seed.
 
     Runs until one full pass moves the iterate by at most the requested
-    accuracy (Hilbert-Schmidt distance) or the iteration cap is hit, in
+    accuracy (Hilbert-Schmidt distance) or by no more than rounding
+    (ROUNDING_FLOOR times its norm), or until the iteration cap is hit, in
     which case the result carries converged=False.  The raw limit is
     projected onto the density matrices before returning.  When every
     set is a Pauli product basis the passes run in Pauli coordinates.
@@ -232,7 +240,7 @@ def estimate(problem: EstimationProblem) -> EstimationResult:
         prev, x = x, one_pass(x)
         iterations += 1
         residual = distance(x, prev)
-        if residual <= problem.accuracy:
+        if residual <= problem.accuracy or residual <= ROUNDING_FLOOR * distance(x, 0 * x):
             converged = True
             break
     return EstimationResult(
@@ -283,17 +291,29 @@ class _PauliFrame:
     @classmethod
     def of(cls, measurements: Sequence[MeasurementSet]) -> "_PauliFrame | None":
         """The frame of the given sets when every one records Pauli letters, else None."""
-        letters = [m.letters for m in measurements]
+        letters = tuple(m.letters for m in measurements)
         if any(c is None for c in letters):
             return None
-        n = len(letters[0])
-        if any(len(c) != n for c in letters):
+        if any(len(c) != len(letters[0]) for c in letters):
             raise InvalidInput("measurement sets act on different dimensions")
+        return cls._build(letters)
+
+    @staticmethod
+    @functools.lru_cache(maxsize=4)
+    def _build(letters: tuple[tuple[int, ...], ...]) -> "_PauliFrame":
+        """The frame of these letters, built once: a benchmark trial asks for it twice.
+
+        The frame is shared between callers, so its arrays are read-only.
+        The last four frames are kept; at 10 qubits one holds a 480 MB
+        index table.
+        """
+        n = len(letters[0])
         bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # (D, n)
         place = 4 ** np.arange(n - 1, -1, -1)
         strings = ((np.asarray(letters) + 1) * place) @ bits.T
         hadamard = 1.0 - 2.0 * ((bits @ bits.T) & 1)
-        return cls(n, strings, hadamard)
+        strings.flags.writeable = hadamard.flags.writeable = False
+        return _PauliFrame(n, strings, hadamard)
 
     def coordinates(self, rho: np.ndarray) -> np.ndarray:
         """r_s = Tr(rho sigma_s) for every string s: sum_ij rho_ij (sigma_s)_ji site by site."""
@@ -315,7 +335,9 @@ class _PauliFrame:
 
     def probabilities(self, r: np.ndarray) -> np.ndarray:
         """(bases, D) table of outcome probabilities of the operator with coordinates r."""
-        return r[self.strings] @ self.hadamard / 2**self.n
+        table = r[self.strings] @ self.hadamard
+        table /= 2**self.n
+        return table
 
     def impose(self, r: np.ndarray, frequencies) -> np.ndarray:
         """One pass imposing every basis in turn, as `impose_pvm` does densely.
@@ -381,9 +403,10 @@ def simulate_frequencies(
     independent Poisson counts per outcome, normalized by the realized
     total.  Observable-expectation sets only support the exact mode;
     their entries are expectation values, not outcome probabilities.
-    Pauli product bases are read out all at once from the Pauli
-    coordinates.  The counts of all sets are drawn by one Poisson call,
-    in the order of the sets and outcomes.
+    All sets are worked as one flat table in the order of the sets and
+    outcomes, read out at once from the Pauli coordinates when every
+    set is a Pauli product basis: one clip, one Poisson call and one
+    per-set total.  The returned vectors are slices of that table.
     """
     rng = as_rng(rng)
     d = rho_gen.dim
@@ -391,24 +414,29 @@ def simulate_frequencies(
     noisy = (1.0 - lam) * rho_gen.matrix + lam * np.eye(d) / d
     frame = _PauliFrame.of(measurements)
     if frame is not None:
-        values = list(frame.probabilities(frame.coordinates(noisy)))
+        table = frame.probabilities(frame.coordinates(noisy)).ravel()
     else:
-        values = [born_probabilities(noisy, meas) for meas in measurements]
+        table = np.concatenate([born_probabilities(noisy, meas) for meas in measurements])
+    sizes = [len(meas) for meas in measurements]
+    bounds = list(itertools.accumulate(sizes, initial=0))
     observable = [meas.kind is MeasurementKind.OBSERVABLE_BASIS for meas in measurements]
-    probs = [v if obs else np.clip(v, 0.0, None) for v, obs in zip(values, observable)]
-    if noise.samples_per_basis is None:
-        return probs
-    if any(observable):
+    if any(observable) and noise.samples_per_basis is not None:
         raise InvalidMeasurementKind(
             "finite-sample simulation is undefined for expectation targets"
         )
-    counts = rng.poisson(noise.samples_per_basis * np.concatenate(probs)).astype(float)
-    out = []
-    for c in np.split(counts, np.cumsum([len(p) for p in probs])[:-1]):
-        total = c.sum()
-        # a set without counts, astronomically unlikely at sensible n, falls back to uniform
-        out.append(c / total if total > 0 else np.full(len(c), 1.0 / len(c)))
-    return out
+    clip = np.repeat(np.logical_not(observable), sizes) if any(observable) else True
+    np.clip(table, 0.0, None, out=table, where=clip)
+    if noise.samples_per_basis is not None:
+        np.multiply(table, noise.samples_per_basis, out=table)
+        table[...] = rng.poisson(table)
+        totals = np.add.reduceat(table, bounds[:-1])
+        # a set that drew no count falls back to uniform
+        empty = np.flatnonzero(totals == 0)
+        totals[empty] = 1.0
+        table /= np.repeat(totals, sizes)
+        for k in empty:
+            table[bounds[k]:bounds[k + 1]] = 1.0 / sizes[k]
+    return [table[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _fidelity_trials(measurements, noise: NoiseModel, trials: int, base: int, draw_state):

@@ -106,6 +106,43 @@ def born_probabilities_projectors(projectors, rho):
     return np.einsum("kij,ji->k", np.asarray(projectors), np.asarray(rho, dtype=complex)).real
 
 
+def simulate_frequencies_per_set(rho_gen, measurements, noise, rng):
+    """Outcome frequencies worked one set at a time: clip, split, total and divide per set.
+
+    The probabilities come from the library's own readers (the Pauli
+    frame's table when every set has letters, else born_probabilities per
+    set), so what this checks is the sampling and normalization: one
+    Poisson call over the concatenated sets, then each set divided by its
+    own total, a set without counts falling back to uniform.
+    """
+    from qoptools.errors import InvalidMeasurementKind
+    from qoptools.mathcore import MeasurementKind, as_rng
+    from qoptools.qse import _PauliFrame, born_probabilities
+
+    rng = as_rng(rng)
+    d = rho_gen.dim
+    lam = noise.white_noise
+    noisy = (1.0 - lam) * rho_gen.matrix + lam * np.eye(d) / d
+    frame = _PauliFrame.of(measurements)
+    if frame is not None:
+        r = frame.coordinates(noisy)
+        values = list(r[frame.strings] @ frame.hadamard / 2**frame.n)
+    else:
+        values = [born_probabilities(noisy, meas) for meas in measurements]
+    observable = [meas.kind is MeasurementKind.OBSERVABLE_BASIS for meas in measurements]
+    probs = [v if obs else np.clip(v, 0.0, None) for v, obs in zip(values, observable)]
+    if noise.samples_per_basis is None:
+        return probs
+    if any(observable):
+        raise InvalidMeasurementKind("finite-sample simulation is undefined for expectation targets")
+    counts = rng.poisson(noise.samples_per_basis * np.concatenate(probs)).astype(float)
+    out = []
+    for c in np.split(counts, np.cumsum([len(p) for p in probs])[:-1]):
+        total = c.sum()
+        out.append(c / total if total > 0 else np.full(len(c), 1.0 / len(c)))
+    return out
+
+
 def compose_two_closed_form(rho, e1, p1, e2, p2):
     """Two-effect composition via the explicit cross-term formula."""
     rho = np.asarray(rho, dtype=complex)

@@ -190,6 +190,24 @@ def test_qse_estimate_pauli_protocol_at_zero_epsilon(tmp_path, outdir):
     assert result["residual"] == 0.0
 
 
+def test_qse_estimate_mub_protocol_at_zero_epsilon(tmp_path, outdir):
+    # the dense passes still move by rounding past the fixed point; the rounding floor stops them
+    gen = random_mixed_state((2, 2), np.random.default_rng(80))
+    meas = qoptools.qse.measurement_protocol(2, "mub")
+    freqs = qoptools.qse.simulate_frequencies(gen, meas, qoptools.qse.NoiseModel(0.1, 400), 80)
+    config = tmp_path / "mub.json"
+    config.write_text(json.dumps({
+        "measurements": {"protocol": "mub", "qubits": 2},
+        "frequencies": [f.tolist() for f in freqs],
+        "epsilon": 0,
+    }))
+    proc = run_cli("qse-estimate", "--config", str(config), "--out", outdir)
+    assert proc.returncode == 0, proc.stderr
+    result = read_json(os.path.join(outdir, "result.json"))
+    assert result["converged"] is True
+    assert result["iterations"] <= 4
+
+
 def test_dump_state_false_leaves_the_state_out(tmp_path, outdir):
     config = tmp_path / "est.json"
     config.write_text(json.dumps(

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from qoptools.errors import DegenerateEffect, InvalidInput, TooLargeScenario
+from qoptools.errors import DegenerateEffect, InvalidInput, InvalidMeasurementKind, TooLargeScenario
 from qoptools.mathcore import (
     MeasurementSet,
     fidelity,
@@ -16,6 +16,7 @@ from qoptools.mathcore import (
 )
 from qoptools.qse import (
     _fidelity_trials,
+    _PauliFrame,
     EstimationProblem,
     ImpositionTarget,
     NoiseModel,
@@ -354,6 +355,19 @@ def test_pauli_estimate_at_zero_accuracy_stops_after_two_passes(n):
     assert result.residual == 0.0
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_mub_estimate_at_zero_accuracy_stops_at_the_rounding_floor(n):
+    # past the fixed point a dense pass still moves the iterate by rounding, about 1e-16
+    rng = np.random.default_rng(84 + n)
+    gen = random_mixed_state((2,) * n, rng)
+    meas = measurement_protocol(n, "mub")
+    freqs = simulate_frequencies(gen, meas, NoiseModel(0.1, 100 * 2**n), rng)
+    result = estimate(EstimationProblem(tuple(meas), tuple(freqs), accuracy=0.0))
+    assert result.converged
+    assert result.iterations <= 4
+    assert result.residual < 1e-14
+
+
 def test_estimate_output_is_a_state():
     rng = np.random.default_rng(74)
     gen = random_mixed_state(2, rng)
@@ -419,6 +433,69 @@ def test_simulate_frequencies_poisson_reproducible():
     for fa, fb in zip(a, b):
         assert np.abs(fa - fb).max() == 0.0
         assert abs(fa.sum() - 1.0) < 1e-12
+
+
+def _trine():
+    kets = [np.array([np.cos(t), np.sin(t)]) for t in (0.0, 2 * np.pi / 3, 4 * np.pi / 3)]
+    return MeasurementSet([2 / 3 * np.outer(k, k) for k in kets], "povm")
+
+
+_SIMULATED = {
+    **{f"mub{n}": (n, lambda n=n: measurement_protocol(n, "mub")) for n in (1, 2, 3)},
+    **{f"pauli{n}": (n, lambda n=n: measurement_protocol(n, "pauli")) for n in (2, 3, 4)},
+    # POVM and PVM sets of 4, 3 and 2 outcomes
+    "ragged": (1, lambda: [sic_povm(), _trine(), measurement_protocol(1, "mub")[0]]),
+}
+
+
+def _assert_matches_per_set_oracle(gen, meas, noise, seed):
+    got = simulate_frequencies(gen, meas, noise, rng=seed)
+    want = oracles.simulate_frequencies_per_set(gen, meas, noise, rng=seed)
+    assert len(got) == len(want) == len(meas)
+    for got_f, want_f in zip(got, want):
+        assert got_f.dtype == want_f.dtype == np.float64
+        assert np.array_equal(got_f, want_f)
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(_SIMULATED))
+@pytest.mark.parametrize("white_noise,samples", [(0.0, None), (0.1, 100), (0.3, 3)])
+def test_simulate_frequencies_matches_per_set_oracle(name, white_noise, samples):
+    n, protocol = _SIMULATED[name]
+    meas = protocol()
+    noise = NoiseModel(white_noise, None if samples is None else samples * 2**n)
+    for seed in (0, 1):
+        gen = random_mixed_state((2,) * n, np.random.default_rng(seed))
+        _assert_matches_per_set_oracle(gen, meas, noise, 100 + seed)
+
+
+def test_simulate_frequencies_keeps_expectation_targets_unclipped():
+    gen = random_pure_state(2, np.random.default_rng(81))
+    meas = measurement_protocol(1, "mub") + [MeasurementSet(_PAULIS, "observable_basis")]
+    got = _assert_matches_per_set_oracle(gen, meas, NoiseModel(0.1), 0)
+    assert np.any(got[-1] < 0)  # a pure state has some negative Pauli expectation here
+    with pytest.raises(InvalidMeasurementKind, match="expectation targets"):
+        simulate_frequencies(gen, meas, NoiseModel(0.1, 10), 0)
+
+
+def test_simulate_frequencies_falls_back_to_uniform_without_counts():
+    # one sample per basis of 16 outcomes: about 1 in e of the 81 sets draws no count
+    gen = random_mixed_state((2,) * 4, np.random.default_rng(82))
+    meas = measurement_protocol(4, "pauli")
+    got = _assert_matches_per_set_oracle(gen, meas, NoiseModel(0.0, 1), 3)
+    uniform = [f for f in got if np.all(f == 1 / 16)]
+    assert 0 < len(uniform) < len(got)
+
+
+def test_pauli_frame_is_built_once_per_protocol_and_read_only():
+    frame = _PauliFrame.of(measurement_protocol(3, "pauli"))
+    # new MeasurementSet objects with the same letters reuse it
+    assert _PauliFrame.of(measurement_protocol(3, "pauli")) is frame
+    assert _PauliFrame.of(measurement_protocol(3, "pauli")[::-1]) is not frame
+    for table in (frame.strings, frame.hadamard):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
 
 
 def test_bootstrap_fidelity_reproducible_and_sane():
