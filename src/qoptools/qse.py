@@ -144,6 +144,14 @@ class EstimationProblem:
 
 @dataclass(frozen=True)
 class EstimationResult:
+    """The projected estimate and how the passes ended.
+
+    `residual` is the distance the last pass moved the iterate.  When
+    converged is True it is at most the requested accuracy, or at most
+    ROUNDING_FLOOR times the iterate's norm: below that floor a requested
+    accuracy can be missed and still count as converged.
+    """
+
     state: QuantumState
     iterations: int
     residual: float
@@ -208,8 +216,10 @@ def estimate(problem: EstimationProblem) -> EstimationResult:
     Runs until one full pass moves the iterate by at most the requested
     accuracy (Hilbert-Schmidt distance) or by no more than rounding
     (ROUNDING_FLOOR times its norm), or until the iteration cap is hit, in
-    which case the result carries converged=False.  The raw limit is
-    projected onto the density matrices before returning.  When every
+    which case the result carries converged=False.  An accuracy below the
+    rounding floor is therefore not always met: converged=True can mean
+    the passes stopped at the floor with a residual above the accuracy.
+    The raw limit is projected onto the density matrices before returning.  When every
     set is a Pauli product basis the passes run in Pauli coordinates.
     """
     frame = _PauliFrame.of(problem.measurements)
@@ -225,14 +235,14 @@ def estimate(problem: EstimationProblem) -> EstimationResult:
                 rho = _impose_set(rho, meas, freq)
             return rho
 
-        distance, matrix = hs_distance, np.asarray
+        distance, norm, matrix = hs_distance, np.linalg.norm, np.asarray
     else:
         x = frame.coordinates(np.eye(2**frame.n) / 2**frame.n)
 
         def one_pass(r):
             return frame.impose(r, problem.frequencies)
 
-        distance, matrix = frame.distance, frame.matrix
+        distance, norm, matrix = frame.distance, frame.norm, frame.matrix
     iterations = 0
     residual = math.inf
     converged = False
@@ -240,7 +250,7 @@ def estimate(problem: EstimationProblem) -> EstimationResult:
         prev, x = x, one_pass(x)
         iterations += 1
         residual = distance(x, prev)
-        if residual <= problem.accuracy or residual <= ROUNDING_FLOOR * distance(x, 0 * x):
+        if residual <= problem.accuracy or residual <= ROUNDING_FLOOR * norm(x):
             converged = True
             break
     return EstimationResult(
@@ -296,17 +306,23 @@ class _PauliFrame:
             return None
         if any(len(c) != len(letters[0]) for c in letters):
             raise InvalidInput("measurement sets act on different dimensions")
-        return cls._build(letters)
+        return cls._last(letters)
 
     @staticmethod
-    @functools.lru_cache(maxsize=4)
-    def _build(letters: tuple[tuple[int, ...], ...]) -> "_PauliFrame":
-        """The frame of these letters, built once: a benchmark trial asks for it twice.
+    @functools.lru_cache(maxsize=1)
+    def _last(letters: tuple[tuple[int, ...], ...]) -> "_PauliFrame":
+        """The frame of these letters, kept until other letters are asked for.
 
-        The frame is shared between callers, so its arrays are read-only.
-        The last four frames are kept; at 10 qubits one holds a 480 MB
-        index table.
+        A benchmark trial asks for its protocol's frame twice (to simulate
+        and to estimate), so only the last frame is kept; at 10 qubits it
+        holds a 480 MB index table.  It is shared between callers, so its
+        arrays are read-only.
         """
+        return _PauliFrame._build(letters)
+
+    @staticmethod
+    def _build(letters: tuple[tuple[int, ...], ...]) -> "_PauliFrame":
+        """The frame of these letters, built anew."""
         n = len(letters[0])
         bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # (D, n)
         place = 4 ** np.arange(n - 1, -1, -1)
@@ -329,9 +345,13 @@ class _PauliFrame:
         vec = _sitewise(_PAULIS.reshape(4, 4).T, r, n) / d
         return vec.reshape((2,) * (2 * n)).transpose(np.argsort(_interleaving(n))).reshape(d, d)
 
+    def norm(self, r: np.ndarray) -> float:
+        """Hilbert-Schmidt norm of the operator with coordinates r."""
+        return math.sqrt(float(np.sum(r**2)) / 2**self.n)
+
     def distance(self, r: np.ndarray, s: np.ndarray) -> float:
         """Hilbert-Schmidt distance of the operators with coordinates r and s."""
-        return math.sqrt(float(np.sum((r - s) ** 2)) / 2**self.n)
+        return self.norm(r - s)
 
     def probabilities(self, r: np.ndarray) -> np.ndarray:
         """(bases, D) table of outcome probabilities of the operator with coordinates r."""
@@ -382,8 +402,9 @@ def born_probabilities(state, meas: MeasurementSet) -> np.ndarray:
     Pauli product basis reads them from the Pauli coordinates of ρ.
     """
     mat = state.matrix if isinstance(state, QuantumState) else np.asarray(state, dtype=complex)
-    frame = _PauliFrame.of([meas])
-    if frame is not None:
+    if meas.letters is not None:
+        # one basis: built anew, so that the kept frame of a protocol stays
+        frame = _PauliFrame._build((meas.letters,))
         return frame.probabilities(frame.coordinates(mat))[0]
     if meas.kind is MeasurementKind.PVM:
         return _pvm_expectations(mat, meas)

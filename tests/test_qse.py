@@ -491,6 +491,9 @@ def test_pauli_frame_is_built_once_per_protocol_and_read_only():
     frame = _PauliFrame.of(measurement_protocol(3, "pauli"))
     # new MeasurementSet objects with the same letters reuse it
     assert _PauliFrame.of(measurement_protocol(3, "pauli")) is frame
+    # reading one basis does not displace the protocol's frame
+    born_probabilities(np.eye(8) / 8, measurement_protocol(3, "pauli")[0])
+    assert _PauliFrame.of(measurement_protocol(3, "pauli")) is frame
     assert _PauliFrame.of(measurement_protocol(3, "pauli")[::-1]) is not frame
     for table in (frame.strings, frame.hadamard):
         assert not table.flags.writeable
