@@ -15,7 +15,9 @@ the same counts time another checkout, e.g. the parent commit's:
 
 One JSON line per size goes to stdout.  With --out, the rows replace
 the entry under --label in that file, other labels are kept, and the
-machine description is rewritten.
+machine description is rewritten.  The exit status is 1 when a search
+hit the round cap or stopped with a certificate gap above GAP_TOL, once
+every row is printed and written.
 """
 from __future__ import annotations
 
@@ -58,6 +60,24 @@ def _machine() -> dict:
         "scipy": scipy.__version__,
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
+
+
+def _merge(path: str, label: str, entry: dict, recipe: str) -> None:
+    """Put entry under label in the JSON report at path, keeping its other labels.
+
+    The recipe and the machine description are rewritten.
+    """
+    try:
+        with open(path) as fh:
+            report = json.load(fh)
+    except FileNotFoundError:
+        report = {"forms": {}}
+    report["recipe"] = recipe
+    report["machine"] = _machine()
+    report["forms"][label] = entry
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _counts(bell, m: int, d: int):
@@ -118,20 +138,16 @@ def main(argv=None) -> int:
         rows.append(row)
 
     if args.out:
-        try:
-            with open(args.out) as fh:
-                report = json.load(fh)
-        except FileNotFoundError:
-            report = {"forms": {}}
-        report["recipe"] = (f"maximally entangled d-level pair, m random bases per party from seed "
-                            f"{BASES_SEED}, Poisson counts with mean {PER_SETTING:g} per setting "
-                            f"from seed {COUNTS_SEED}; seconds is the median of the form's repeats "
-                            f"of maximize_gap, after a warm-up search")
-        report["machine"] = _machine()
-        report["forms"][args.label] = {"repeats": args.repeats, "rows": rows}
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _merge(args.out, args.label, {"repeats": args.repeats, "rows": rows},
+               f"maximally entangled d-level pair, m random bases per party from seed "
+               f"{BASES_SEED}, Poisson counts with mean {PER_SETTING:g} per setting from seed "
+               f"{COUNTS_SEED}; seconds is the median of the form's repeats of maximize_gap, "
+               f"after a warm-up search")
+    uncertified = [(row["m"], row["d"]) for row in rows
+                   if row["round_cap_hit"] or row["certificate_gap"] > bell.GAP_TOL]
+    if uncertified:
+        print(f"not certified within GAP_TOL: {uncertified}", file=sys.stderr)
+        return 1
     return 0
 
 

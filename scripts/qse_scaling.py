@@ -31,7 +31,7 @@ import subprocess
 import sys
 import time
 
-from bell_scaling import ROOT, _machine
+from bell_scaling import ROOT, _merge
 
 WHITE_NOISE = 0.1
 SAMPLES_FACTOR = 100
@@ -101,21 +101,12 @@ def main(argv=None) -> int:
         rows.append(row)
 
     if args.out:
-        try:
-            with open(args.out) as fh:
-                report = json.load(fh)
-        except FileNotFoundError:
-            report = {"forms": {}}
-        report["recipe"] = (f"Pauli protocol on n qubits, one child process per n; trial t draws a "
-                            f"random full-rank state and its frequencies (white noise "
-                            f"{WHITE_NOISE:g}, {SAMPLES_FACTOR} * 2^n Poisson samples per basis) "
-                            f"from the stream seeded t, and estimates at the default accuracy; "
-                            f"simulate_seconds and estimate_seconds are medians over the trials")
-        report["machine"] = _machine()
-        report["forms"][args.label] = {"trials": args.trials, "rows": rows}
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _merge(args.out, args.label, {"trials": args.trials, "rows": rows},
+               f"Pauli protocol on n qubits, one child process per n; trial t draws a random "
+               f"full-rank state and its frequencies (white noise {WHITE_NOISE:g}, "
+               f"{SAMPLES_FACTOR} * 2^n Poisson samples per basis) from the stream seeded t, "
+               f"and estimates at the default accuracy; simulate_seconds and estimate_seconds "
+               f"are medians over the trials")
     return 0
 
 

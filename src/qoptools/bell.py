@@ -212,12 +212,13 @@ def _unstack_coefficients(s: np.ndarray, scenario: BellScenario, bound=None) -> 
     return BellInequality(joint, marg_a, marg_b, scenario, bound)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=1)
 def _assignments(m: int, d: int) -> np.ndarray:
     """One-hot table of every map x -> a(x), shape (d^m, m, d), in np.ndindex order.
 
-    Built once per (m, d), since the gap search bounds a candidate every
-    round; the table is shared between callers, so it is read-only.
+    Asked for every gap search round, and for one (m, d) per process by every
+    command, script and benchmark workload, so only the last table is kept.
+    It is shared between callers, so it is read-only.
     """
     digits = np.indices((d,) * m).reshape(m, -1).T
     table = np.eye(d)[digits]
@@ -346,7 +347,7 @@ def _gap_pieces(counts: CountsTable):
     return q_vec, g.reshape(-1, q_vec.size)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=1)
 def _lifted_lp(m: int, d: int):
     """Rows, right-hand sides and bounds of the gap search LP over z = (y, tau, r, u).
 
@@ -358,8 +359,10 @@ def _lifted_lp(m: int, d: int):
         sum_x y_A[x, alpha(x)] + sum_y u[alpha, y] + dm tau   <= 1     (alpha)
 
     followed by the box -tau <= y_i <= tau, so d^m (m d + 1) sparse rows
-    stand in for the d^(2m) dense strategy rows.  Built once per (m, d) and
-    shared between searches, so every array is read-only.
+    stand in for the d^(2m) dense strategy rows, as HiGHS's row-wise
+    (start, index, value) arrays.  Every command, script and benchmark
+    workload searches one (m, d) per process, so only the last build is
+    kept; it is shared between searches, so every array is read-only.
     """
     count = d**m
     if count * (m * d + 1) > LIFTED_ROW_GUARD:
@@ -367,46 +370,38 @@ def _lifted_lp(m: int, d: int):
             f"{count * (m * d + 1)} lifted strategy rows exceed the gap search guard "
             f"of {LIFTED_ROW_GUARD}"
         )
-    from scipy.sparse import coo_array
-
     nj, nm = m * m * d * d, m * d
     n = nj + 2 * nm
     tau, cols = n, n + 2 + count * m
     alpha = _assignments(m, d).argmax(axis=2)  # (count, x) -> alpha(x)
     # (alpha, y, b) rows first: m joint entries, then y_B[y, b] and -u[alpha, y]
     k, y, b, x = np.ix_(range(count), range(m), range(d), range(m))
-    pair_cols = np.concatenate([
+    pair_index = np.concatenate([
         np.broadcast_to(((x * m + y) * d + alpha[k, x]) * d + b, (count, m, d, m)),
         np.broadcast_to(nj + nm + y * d + b, (count, m, d, 1)),
         np.broadcast_to(n + 2 + k * m + y, (count, m, d, 1)),
     ], axis=3)
-    pair_rows = np.broadcast_to((k * m + y) * d + b, pair_cols.shape)
-    pair_vals = np.broadcast_to(np.r_[np.ones(m + 1), -1.0], pair_cols.shape)
+    pair_value = np.broadcast_to(np.r_[np.ones(m + 1), -1.0], pair_index.shape)
     # then one row per alpha: y_A[x, alpha(x)], u[alpha, y] and dm tau
     k, x = np.ix_(range(count), range(m))
-    alpha_cols = np.concatenate([nj + x * d + alpha, n + 2 + k * m + x,
-                                 np.full((count, 1), tau)], axis=1)
-    alpha_rows = np.broadcast_to(count * m * d + k, alpha_cols.shape)
-    alpha_vals = np.broadcast_to(np.r_[np.ones(2 * m), float(nm)], alpha_cols.shape)
+    alpha_index = np.concatenate([nj + x * d + alpha, n + 2 + k * m + x,
+                                  np.full((count, 1), tau)], axis=1)
+    alpha_value = np.broadcast_to(np.r_[np.ones(2 * m), float(nm)], alpha_index.shape)
     # then the box: y_i - tau <= 0, then -y_i - tau <= 0
-    first_box = count * (m * d + 1)
-    box_rows = np.tile(first_box + np.arange(2 * n), 2)
-    box_cols = np.concatenate([np.tile(np.arange(n), 2), np.full(2 * n, tau)])
-    box_vals = np.concatenate([np.ones(n), -np.ones(n), -np.ones(2 * n)])
-    rows = coo_array(
-        (np.concatenate([pair_vals.ravel(), alpha_vals.ravel(), box_vals]),
-         (np.concatenate([pair_rows.ravel(), alpha_rows.ravel(), box_rows]),
-          np.concatenate([pair_cols.ravel(), alpha_cols.ravel(), box_cols]))),
-        shape=(first_box + 2 * n, cols),
-    ).tocsc()
-    rhs = np.zeros(rows.shape[0])
-    rhs[count * m * d:first_box] = 1.0
+    box_index = np.stack([np.tile(np.arange(n), 2), np.full(2 * n, tau)], axis=1)
+    box_value = np.stack([np.repeat([1.0, -1.0], n), np.full(2 * n, -1.0)], axis=1)
+    width = np.repeat([m + 2, 2 * m + 1, 2], [count * m * d, count, 2 * n])
+    start = np.concatenate([[0], np.cumsum(width)])
+    index = np.concatenate([pair_index.ravel(), alpha_index.ravel(), box_index.ravel()])
+    value = np.concatenate([pair_value.ravel(), alpha_value.ravel(), box_value.ravel()])
+    rhs = np.zeros(width.size)
+    rhs[count * m * d:count * (m * d + 1)] = 1.0
     bounds = np.full((cols, 2), (-np.inf, np.inf))
     bounds[tau] = (0.0, 1.0 / nm)
     bounds[tau + 1, 0] = 0.0
-    for arr in (rows.data, rows.indices, rows.indptr, rhs, bounds):
+    for arr in (start, index, value, rhs, bounds):
         arr.setflags(write=False)
-    return rows, rhs, bounds
+    return (start, index, value), rhs, bounds
 
 
 def _highs():
@@ -426,22 +421,22 @@ def _highs():
 class _GapLP:
     """max objective . z subject to rows z <= rhs, bounds and the norm cuts added so far.
 
-    rows is a scipy CSC array, handed to HiGHS as it is.  One model lives
-    for the whole search and each cut is appended as a row, so the dual
-    simplex restarts from the last optimal basis.
+    rows are `_lifted_lp`'s row-wise (start, index, value), handed to HiGHS
+    as they are.  One model lives for the whole search and each cut is
+    appended as a row, so the dual simplex restarts from the last basis.
     """
 
     def __init__(self, objective, rows, rhs, bounds):
         self.highs = _highs()  # imports scipy here, outside the timed solves
         self.seconds = 0.0
         lp = self.highs.HighsLp()
-        lp.num_row_, lp.num_col_ = rows.shape
-        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = rows.shape
-        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = (
-            rows.indptr, rows.indices, rows.data)
+        lp.num_row_, lp.num_col_ = rhs.size, bounds.shape[0]
+        lp.a_matrix_.format_ = self.highs.MatrixFormat.kRowwise
+        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = lp.num_row_, lp.num_col_
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = rows
         lp.col_cost_ = -objective
         lp.col_lower_, lp.col_upper_ = bounds[:, 0], bounds[:, 1]
-        lp.row_lower_, lp.row_upper_ = np.full(rows.shape[0], -np.inf), rhs
+        lp.row_lower_, lp.row_upper_ = np.full(rhs.size, -np.inf), rhs
         self.model = self.highs._Highs()
         self.model.setOptionValue("output_flag", False)
         self.model.setOptionValue("primal_feasibility_tolerance", LP_TOL)
@@ -514,7 +509,7 @@ def maximize_gap(counts: CountsTable, trials: int = 20, rng=None) -> GapResult:
     q_vec, g = _gap_pieces(counts)
     n = q_vec.size
     # variables z = (y, tau, r, u); only y, tau and r enter the objective and the cuts
-    objective = np.zeros(rows.shape[1])
+    objective = np.zeros(bounds.shape[0])
     objective[:n + 2] = np.concatenate([q_vec, [dm, -1.0]])
     lp = _GapLP(objective, rows, rhs, bounds)
 

@@ -238,9 +238,10 @@ def estimate(problem: EstimationProblem) -> EstimationResult:
         distance, norm, matrix = hs_distance, np.linalg.norm, np.asarray
     else:
         x = frame.coordinates(np.eye(2**frame.n) / 2**frame.n)
+        values = np.asarray(problem.frequencies) @ frame.hadamard  # H f per basis; H is symmetric
 
         def one_pass(r):
-            return frame.impose(r, problem.frequencies)
+            return frame.impose(r, values)
 
         distance, norm, matrix = frame.distance, frame.norm, frame.matrix
     iterations = 0
@@ -359,7 +360,7 @@ class _PauliFrame:
         table /= 2**self.n
         return table
 
-    def impose(self, r: np.ndarray, frequencies) -> np.ndarray:
+    def impose(self, r: np.ndarray, values: np.ndarray) -> np.ndarray:
         """One pass imposing every basis in turn, as `impose_pvm` does densely.
 
         Imposing basis c on frequencies f moves only its strings g, to
@@ -367,9 +368,9 @@ class _PauliFrame:
         H H = D I turns that into H f whatever g was, so each basis assigns
         H f to its strings (the last basis that measures a string sets it),
         and a second pass writes the same values: its residual is exactly 0.
+        values holds H f of every basis, computed once for all passes.
         """
         r = r.copy()
-        values = np.asarray(frequencies) @ self.hadamard  # H is symmetric
         for strings, value in zip(self.strings, values):
             r[strings] = value
         return r

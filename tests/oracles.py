@@ -441,12 +441,27 @@ def maximize_gap_slsqp(counts, trials=20, rng=None):
     return best
 
 
+def lifted_rows(m, d):
+    """The rows of bell._lifted_lp(m, d) as a scipy CSR array, with its rhs and bounds.
+
+    The package keeps them as HiGHS's row-wise (start, index, value)
+    arrays, which are CSR's (indptr, indices, data).
+    """
+    from scipy.sparse import csr_array
+
+    from qoptools.bell import _lifted_lp
+
+    (start, index, value), rhs, bounds = _lifted_lp(m, d)
+    return csr_array((value, index, start), shape=(rhs.size, bounds.shape[0])), rhs, bounds
+
+
 def maximize_gap_linprog(counts):
     """The Kelley gap search of bell.maximize_gap, every LP rebuilt and solved cold.
 
     Each round stacks the norm cuts found so far below the rows of
-    bell._lifted_lp and hands the whole program to linprog(method="highs")
-    at the search's LP_TOL; the scoring and stop rule are the search's.
+    bell._lifted_lp (as `lifted_rows` gives them) and hands the whole
+    program to linprog(method="highs") at the search's LP_TOL; the
+    scoring and stop rule are the search's.
     Returns (ratio, upper_bound, rounds).
     """
     from scipy.optimize import linprog
@@ -457,7 +472,6 @@ def maximize_gap_linprog(counts):
         GAP_TOL,
         LP_TOL,
         _gap_pieces,
-        _lifted_lp,
         _unstack_coefficients,
         lhv_bound,
     )
@@ -466,7 +480,7 @@ def maximize_gap_linprog(counts):
     dm = float(sc.outcomes * sc.settings)
     q_vec, g = _gap_pieces(counts)
     n = q_vec.size
-    rows, rhs, bounds = _lifted_lp(sc.settings, sc.outcomes)
+    rows, rhs, bounds = lifted_rows(sc.settings, sc.outcomes)
     cost = np.zeros(rows.shape[1])
     cost[:n + 2] = -np.concatenate([q_vec, [dm, -1.0]])
     cuts = []

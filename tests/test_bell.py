@@ -117,7 +117,7 @@ def test_strategy_matrix_rows_are_deterministic_behaviors():
 @pytest.mark.parametrize("m,d", [(2, 2), (3, 2), (2, 3), (3, 3)])
 def test_lifted_rows_give_the_lhv_bound(m, d):
     # rows: (alpha, y, b) rows, one row per alpha, then the box; z = (s, tau, r, u)
-    rows = bell._lifted_lp(m, d)[0]
+    rows = oracles.lifted_rows(m, d)[0]
     count, n = d**m, m * m * d * d + 2 * m * d
     pairs, alphas = rows[:count * m * d], rows[count * m * d:count * (m * d + 1)]
     assert rows.shape == (count * (m * d + 1) + 2 * n, n + 2 + count * m)
@@ -140,7 +140,7 @@ def test_lifted_lp_matches_the_dense_lp(m, d):
 
     rng = np.random.default_rng(96 + 10 * m + d)
     dense, dense_rhs, dense_bounds = oracles.dense_gap_lp(m, d)
-    rows, rhs, bounds = bell._lifted_lp(m, d)
+    rows, rhs, bounds = oracles.lifted_rows(m, d)
     n = dense.shape[1] - 2
     cost = np.concatenate([rng.normal(size=n + 1), [1.0]])  # r is only bounded below
     want = linprog(cost, A_ub=dense, b_ub=dense_rhs, bounds=dense_bounds, method="highs")
@@ -500,11 +500,9 @@ def test_warm_gap_search_is_silent(capfd):
 
 
 def test_gap_lp_failure_is_a_qop_error():
-    from scipy.sparse import csc_array
-
-    # x <= -1 and -x <= -1: no point is feasible
-    lp = bell._GapLP(np.ones(1), csc_array(np.array([[1.0], [-1.0]])), -np.ones(2),
-                     np.array([(-np.inf, np.inf)]))
+    # x <= -1 and -x <= -1: no point is feasible; rows as (start, index, value)
+    rows = np.array([0, 1, 2]), np.array([0, 0]), np.array([1.0, -1.0])
+    lp = bell._GapLP(np.ones(1), rows, -np.ones(2), np.array([(-np.inf, np.inf)]))
     with pytest.raises(QopError, match="gap search LP failed"):
         lp.solve()
 

@@ -6,6 +6,7 @@ tests exercise the tree under test whatever is installed.  The console script
 declared in pyproject.toml is checked on its own in
 test_console_script_installed.
 """
+import ast
 import json
 import os
 import shutil
@@ -127,6 +128,33 @@ def test_only_the_gap_search_imports_scipy(tmp_path):
     assert seen["before"] == []
     assert seen["optimize"] is True
     assert seen["bindings"] is True
+
+
+def _scipy_imports(node, where):
+    """The qualified name of the function or class around every scipy import below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _scipy_imports(child, f"{where}.{child.name}")
+            continue
+        if isinstance(child, ast.Import):
+            modules = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            modules = [child.module or ""]
+        else:
+            modules = []
+        yield from (where for name in modules if name.split(".")[0] == "scipy")
+        yield from _scipy_imports(child, where)
+
+
+def test_scipy_is_imported_in_one_place():
+    # the gap search's HiGHS bindings are the package's only use of scipy
+    package = os.path.dirname(qoptools.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                found += _scipy_imports(ast.parse(fh.read()), name[:-3])
+    assert found == ["bell._highs"]
 
 
 @pytest.mark.parametrize("demo", ["bell_gap_demo.py", "estimation_demo.py", "marginal_demo.py"])
