@@ -26,6 +26,7 @@ import time
 from datetime import datetime, timezone
 
 import click
+import numpy as np
 
 from . import __version__, bell, qmp, qse
 from .errors import DegenerateIterate, NotConverged, NotViolatedAtAnyEfficiency, QopError
@@ -41,12 +42,58 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _float_rows(a, nl: str):
+    """The rows of the finite real matrix `a` as json.dumps(a.tolist(), indent=2) text.
+
+    One piece per row.  Each entry is written as its sign and
+    float.__repr__ of its magnitude, which for every finite float, -0.0
+    included, is the repr of the entry itself.  When |a| equals its
+    transpose, as for either part of a Hermitian matrix, only the upper
+    triangle is formatted and the lower one shares its strings.  The sign
+    goes into the separator before the entry, one of two shared string
+    objects, so no string is made per entry beyond the reprs.
+    """
+    row, cell = nl + "  ", nl + "    "
+    mag = np.abs(a)
+    mirrored = a.shape[0] == a.shape[1] and np.array_equal(mag, mag.T)
+    sign = np.signbit(a).view(np.int8)
+    seps = np.array(["," + cell, "," + cell + "-"], dtype=object)[sign]
+    seps[:, 0] = np.array([cell, cell + "-"], dtype=object)[sign[:, 0]]
+    text = np.empty(a.shape, dtype=object)
+    parts = np.empty(2 * a.shape[1], dtype=object)
+    lead = "[" + row + "["
+    for r in range(a.shape[0]):
+        first = r if mirrored else 0
+        text[r, first:] = list(map(float.__repr__, mag[r, first:].tolist()))
+        if mirrored:
+            text[r + 1:, r] = text[r, r + 1:]
+        parts[0::2], parts[1::2] = seps[r], text[r]
+        yield lead + "".join(parts.tolist()) + row + "]"
+        text[r] = None  # the rows below hold every string still to be written
+        lead = "," + row + "["
+    yield nl + "]"
+
+
 def _json_pieces(obj, nl: str):
     """json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) in pieces.
 
-    nl is a newline plus the current indent.
+    nl is a newline plus the current indent.  A 2-D ndarray is written
+    as its encoding by matrix_to_dict, {"dim", "im", "re"}.
     """
-    if isinstance(obj, dict):
+    if isinstance(obj, np.ndarray):
+        if obj.ndim != 2 or 0 in obj.shape:
+            yield from _json_pieces(matrix_to_dict(obj), nl)
+            return
+        m = obj.astype(complex, copy=False)
+        if not np.isfinite(m).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        inner = nl + "  "
+        yield "{" + inner + f'"dim": {m.shape[0]},' + inner + '"im": '
+        yield from _float_rows(m.imag, inner)
+        yield "," + inner + '"re": '
+        yield from _float_rows(m.real, inner)
+        yield nl + "}"
+    elif isinstance(obj, dict):
         if not obj:
             yield "{}"
             return
@@ -81,15 +128,20 @@ def _json_pieces(obj, nl: str):
 def _write_json(path: str, obj) -> None:
     """Write json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) and a newline.
 
-    The bytes are those json.dumps writes, but json runs its pure-Python
-    encoder whenever indent is set, which costs more per float than
+    A 2-D ndarray in obj is written as json.dumps would write its
+    matrix_to_dict encoding, straight from the array: no float lists are
+    built, and a Hermitian matrix (|re| and |im| equal to their
+    transposes) has float.__repr__ run on one triangle only.  The bytes
+    are those json.dumps writes, but json runs its pure-Python encoder
+    whenever indent is set, which costs more per float than
     float.__repr__ itself, and a dumped D=256 state holds 131,072 floats.
-    Here each list of exact finite floats (a matrix row) is encoded by one
-    join and every other scalar by json.dumps.  A dict with a non-str key,
-    which json would convert to a string, raises TypeError, and a NaN or
-    infinity, which is not JSON, raises ValueError.  Every piece is encoded
-    before the file is opened, so either leaves no file behind; the pieces
-    are written as they are, not joined, so the text is held in memory once.
+    Each other list of exact finite floats (a matrix row) is encoded by
+    one join and every other scalar by json.dumps.  A dict with a non-str
+    key, which json would convert to a string, raises TypeError, and a NaN
+    or infinity, which is not JSON, raises ValueError.  Every piece is
+    encoded before the file is opened, so either leaves no file behind;
+    the pieces are written as they are, not joined, so the text is held
+    in memory once.
     """
     pieces = list(_json_pieces(obj, "\n"))
     with open(path, "w") as fh:
@@ -253,7 +305,7 @@ def qse_estimate(cfg, run):
         "fidelity": None if reference is None else fidelity(res.state, reference),
     }
     if dump_state:
-        result["state"] = matrix_to_dict(res.state.matrix)
+        result["state"] = res.state.matrix
     return (EXIT_OK if res.converged else EXIT_NOT_CONVERGED), result, {}
 
 
@@ -394,7 +446,7 @@ def qmp_solve(cfg, run):
         },
     }
     if dump_state:
-        result["state"] = matrix_to_dict(state.matrix)
+        result["state"] = state.matrix
     click.echo(f"{report.total_dist[-1]:.3e}")
     return code, result, {
         "solver_runtime_seconds": report.runtime,

@@ -554,7 +554,11 @@ def pauli_product_bases(n: int) -> list[MeasurementSet]:
 
 
 def matrix_to_dict(m: np.ndarray) -> dict:
-    """JSON-friendly encoding {"dim", "re", "im"} of a square complex matrix."""
+    """JSON-friendly encoding {"dim", "re", "im"} of a square complex matrix.
+
+    The reference encoding: cli._write_json writes a matrix held as an
+    ndarray as exactly the text json.dumps gives for this dict.
+    """
     m = np.asarray(m, dtype=complex)
     return {"dim": int(m.shape[0]), "re": m.real.tolist(), "im": m.imag.tolist()}
 

@@ -114,19 +114,16 @@ def embed_with_mixed(op, subset, n_parties: int, local_dim: int) -> np.ndarray:
     return tensor.reshape(d**n_parties, d**n_parties)
 
 
-def _marginal_step(target, source, sub, sigma, n_parties: int, d: int):
-    """Add (sigma - Tr_Jc source) (x) I/d^{|Jc|} to `target` in place.
+def _marginal_step(mat, sub, sigma, n_parties: int, d: int):
+    """Apply the substitution Q on `sub` to `mat` in place.
 
-    With target = source this is the substitution Q; the damped sweep
-    adds the same delta into its momentum accumulator instead.
+    Adds (sigma - Tr_Jc mat) (x) I/d^{|Jc|} through the strided view of
+    the entries that are diagonal on the complement of `sub`.
     """
     k = len(sub)
-    dims = (d,) * n_parties
-    view = _complement_diagonal(source, sub, dims)
+    view = _complement_diagonal(mat, sub, (d,) * n_parties)
     reduced = view.sum(axis=tuple(range(2 * k, n_parties + k)))
     delta = (sigma.reshape(reduced.shape) - reduced) * (1.0 / d ** (n_parties - k))
-    if target is not source:
-        view = _complement_diagonal(target, sub, dims)
     view += delta.reshape(delta.shape + (1,) * (n_parties - k))
 
 
@@ -149,7 +146,7 @@ def impose_marginal(rho, subset, sigma, local_dim: int) -> np.ndarray:
     if sig.shape != (d ** len(sub),) * 2:
         raise InvalidInput(f"target shape {sig.shape} does not match subset {sub} at d={d}")
     out = mat.copy()
-    _marginal_step(out, out, sub, sig, n_parties, d)
+    _marginal_step(out, sub, sig, n_parties, d)
     return out
 
 
@@ -233,7 +230,7 @@ def impose_all(rho, spec: MarginalSpec) -> np.ndarray:
         raise InvalidInput(f"matrix shape {mat.shape} does not match spec dim {spec.dim}")
     out = mat.copy()
     for subset, sigma in spec.targets:
-        _marginal_step(out, out, subset, sigma.matrix, spec.n_parties, spec.local_dim)
+        _marginal_step(out, subset, sigma.matrix, spec.n_parties, spec.local_dim)
     return out
 
 
@@ -379,13 +376,14 @@ class _Trajectory:
         )
 
 
-def _marginal_distance(mat: np.ndarray, spec: MarginalSpec) -> float:
+def _marginal_distance(mat: np.ndarray, spec: MarginalSpec) -> tuple[float, list]:
+    """Rms Hilbert-Schmidt distance of the target reductions of `mat`, and the reductions."""
     dims = [spec.local_dim] * spec.n_parties
+    reductions = [partial_trace(mat, subset, dims=dims) for subset, _ in spec.targets]
     acc = 0.0
-    for subset, sigma in spec.targets:
-        got = partial_trace(mat, subset, dims=dims)
+    for (_, sigma), got in zip(spec.targets, reductions):
         acc += hs_distance(sigma.matrix, got) ** 2
-    return math.sqrt(acc / len(spec.targets))
+    return math.sqrt(acc / len(spec.targets)), reductions
 
 
 def _seed_state(spec: MarginalSpec, rng, identity_seed: bool) -> np.ndarray:
@@ -421,10 +419,11 @@ def _top_eigenpairs(xp: np.ndarray, v0: np.ndarray):
 def _iterate(spec, constraint, accuracy, max_iterations, seed_mat, sweep):
     """Common outer loop: sweep marginals, project the spectrum, measure.
 
-    `sweep` maps the current iterate to the post-imposition matrix; the
-    plain solver passes impose_all and the accelerated one a damped
-    stepper.  Its output is exactly Hermitian because the iterate and
-    the targets are, so it goes to the eigensolvers as is.  In rank mode
+    `sweep` maps the current iterate and its reductions on the targets
+    (None before the first step) to the post-imposition matrix; the plain
+    solver passes impose_all and the accelerated one a damped stepper.
+    Its output is exactly Hermitian because the iterate and the targets
+    are, so it goes to the eigensolvers as is.  In rank mode
     with rank < dim - 1, every step after the first asks _top_eigenpairs
     for the top r pairs, warm-started from the previous iterate's
     vectors, and falls back to a full eigh when that answer is rejected.
@@ -449,6 +448,7 @@ def _iterate(spec, constraint, accuracy, max_iterations, seed_mat, sweep):
     x = seed_mat
     rank = constraint.rank if constraint.mode == "rank" else None
     warm = None  # previous iterate's top-r eigenvectors, when a warm step may follow
+    reductions = None  # of the current iterate, on each target subset
     converged = False
     n = 0
 
@@ -458,7 +458,7 @@ def _iterate(spec, constraint, accuracy, max_iterations, seed_mat, sweep):
 
     try:
         for n in range(1, int(max_iterations) + 1):
-            xp = sweep(x)
+            xp = sweep(x, reductions)
             # the norm overflows well before the entries do
             with np.errstate(over="ignore", invalid="ignore"):
                 finite = math.isfinite(np.linalg.norm(xp))
@@ -482,7 +482,7 @@ def _iterate(spec, constraint, accuracy, max_iterations, seed_mat, sweep):
                 dl = float(np.hypot(np.linalg.norm(vals - lam), tail))
             if rank is not None and rank < xp.shape[0] - 1:
                 warm = vecs[:, :rank]
-            dm = _marginal_distance(x, spec)
+            dm, reductions = _marginal_distance(x, spec)
             dt = math.hypot(dm, dl)
             traj.record(n, dm, dl, dt)
             if dt <= accuracy:
@@ -518,7 +518,8 @@ def solve(
     nonexistence.
     """
     x0 = _seed_state(spec, as_rng(rng), identity_seed)
-    return _iterate(spec, constraint, accuracy, max_iterations, x0, lambda m: impose_all(m, spec))
+    return _iterate(spec, constraint, accuracy, max_iterations, x0,
+                    lambda m, _: impose_all(m, spec))
 
 
 @dataclass(frozen=True)
@@ -554,6 +555,30 @@ class HalpernSchedule:
         return a, self.beta_scale * a * a
 
 
+def _cross_reduction(sub_l, sub_i, n_parties: int, d: int):
+    """The map C(A) = Tr_{J_i^c}(A (x) I) for an operator A on the parties sub_l.
+
+    C(A) = d^{N - |J_i u J_l|} (Tr_{J_l - J_i} A) (x) I_{J_i - J_l}, in the
+    party order of J_i = sub_i, taken by one einsum: row digit p carries
+    label p and column digit p label N + p, except on the parties traced
+    out, where both carry p.
+    """
+    n = n_parties
+    shape, di = (d,) * (2 * len(sub_l)), d ** len(sub_i)
+    labels = list(sub_l) + [n + p if p in sub_i else p for p in sub_l]
+    eyes = []
+    for p in sub_i:
+        if p not in sub_l:
+            eyes += [np.eye(d, dtype=complex), [p, n + p]]
+    out = list(sub_i) + [n + p for p in sub_i]
+    scale = float(d ** (n - len(set(sub_l) | set(sub_i))))
+
+    def reduce(block):
+        return scale * np.einsum(block.reshape(shape), labels, *eyes, out).reshape(di, di)
+
+    return reduce
+
+
 def solve_accelerated(
     spec: MarginalSpec,
     constraint: SpectralConstraint,
@@ -574,23 +599,47 @@ def solve_accelerated(
     alpha does not enter.  Full momentum with mu near 1 overshoots and
     usually diverges; that surfaces as DegenerateIterate rather than
     silent nonsense.
+
+    Q(x) - x on target l is a block Z_l on its subset J_l tensored with
+    the identity elsewhere, so z = sum_l Z_l (x) I is held as one
+    d^|J_l| x d^|J_l| block per target, never as a D x D matrix.  Within
+    a sweep the iterate is x_0 + s sum_l S_l (x) I, with s = mu alpha_n
+    and S_l the running sum of Z_l over the sweep's steps so far, and its
+    reduction on J_i is that of x_0 (taken by the distance measurement
+    before the sweep) plus s sum_l C_il(S_l) (see _cross_reduction).  The
+    sweep writes x_0 + s sum_l S_l (x) I once, at its end.
     """
     x0 = _seed_state(spec, as_rng(rng), identity_seed)
-    z = np.zeros_like(x0)
+    n, d = spec.n_parties, spec.local_dim
+    subsets = [subset for subset, _ in spec.targets]
+    cross = [[_cross_reduction(sub_l, sub_i, n, d) for sub_l in subsets] for sub_i in subsets]
+    blocks = [np.zeros_like(sigma.matrix) for _, sigma in spec.targets]
     sweeps = itertools.count()
 
-    def sweep(x):
-        # Q(x) - x is the structured delta alone, so it goes straight into z
+    def sweep(x, reductions):
         a_n, b_n = schedule.coefficients(next(sweeps))
         step = schedule.mu * a_n
+        if reductions is None:
+            reductions = [partial_trace(x, subset, dims=(d,) * n) for subset in subsets]
+        sums = [np.zeros_like(z) for z in blocks]
         x = x.copy()
         # non-finite values can legitimately appear mid-divergence; the
         # outer loop sees the norm overflow and raises, so keep numpy quiet here
         with np.errstate(over="ignore", invalid="ignore"):
-            for subset, sigma in spec.targets:
-                np.multiply(z, b_n, out=z)
-                _marginal_step(z, x, subset, sigma.matrix, spec.n_parties, spec.local_dim)
-                x += step * z
+            for i, (subset, sigma) in enumerate(spec.targets):
+                for z in blocks:
+                    np.multiply(z, b_n, out=z)
+                reduced = reductions[i]
+                if i:  # the running sums are all zero before the first step
+                    shift = sum(term(total) for term, total in zip(cross[i], sums))
+                    reduced = reduced + step * shift
+                blocks[i] += (sigma.matrix - reduced) * (1.0 / d ** (n - len(subset)))
+                for total, z in zip(sums, blocks):
+                    total += z
+            for subset, total in zip(subsets, sums):
+                k = len(subset)
+                view = _complement_diagonal(x, subset, (d,) * n)
+                view += (step * total).reshape((d,) * (2 * k) + (1,) * (n - k))
         return x
 
     return _iterate(spec, constraint, accuracy, max_iterations, x0, sweep)

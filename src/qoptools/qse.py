@@ -109,29 +109,28 @@ class EstimationProblem:
 
     def __post_init__(self):
         meas = tuple(self.measurements)
-        freqs = tuple(np.asarray(f, dtype=float) for f in self.frequencies)
+        freqs = tuple([np.asarray(f, dtype=float) for f in self.frequencies])
         if len(meas) != len(freqs):
             raise InvalidInput("one frequency vector per measurement set required")
         if not meas:
             raise InvalidInput("at least one measurement set required")
-        if any(f.shape != (len(a),) for a, f in zip(meas, freqs)):
+        sizes = np.array([len(a) for a in meas])
+        if [f.size if f.ndim == 1 else -1 for f in freqs] != sizes.tolist():
             raise InvalidInput("frequency vector length does not match effect count")
-        # one check per kind over all of its sets at once: a Pauli protocol has 3^n of them
-        of_kind = {kind: [f for a, f in zip(meas, freqs) if a.kind is kind]
-                   for kind in MeasurementKind}
-        if not np.all(np.isfinite(np.concatenate(freqs))):
+        # every check runs once, on all sets concatenated: a Pauli protocol has 3^n of them
+        flat = np.concatenate(freqs)
+        if not np.isfinite(flat).all():
             raise InvalidInput("frequencies must be finite")
-        expectations = of_kind[MeasurementKind.OBSERVABLE_BASIS]
-        if expectations and np.any(np.abs(np.concatenate(expectations)) > 1 + 1e-12):
+        kinds = [a.kind for a in meas]
+        observable, pvm = MeasurementKind.OBSERVABLE_BASIS, MeasurementKind.PVM
+        expectation = np.repeat([k is observable for k in kinds], sizes)
+        if (np.abs(flat[expectation]) > 1 + 1e-12).any():
             raise InvalidInput("expectation targets must lie in [-1, 1]")
-        pvms = of_kind[MeasurementKind.PVM]
-        probabilities = pvms + of_kind[MeasurementKind.POVM]
-        if probabilities and np.any(np.concatenate(probabilities) < -1e-12):
+        if (flat[~expectation] < -1e-12).any():
             raise InvalidInput("frequencies must be nonnegative")
-        if pvms:
-            starts = np.cumsum([0] + [f.size for f in pvms[:-1]])
-            if np.any(np.abs(np.add.reduceat(np.concatenate(pvms), starts) - 1.0) > 1e-9):
-                raise InvalidInput("PVM frequencies must sum to 1 within 1e-9")
+        totals = np.add.reduceat(flat, np.cumsum(sizes) - sizes)[[k is pvm for k in kinds]]
+        if (np.abs(totals - 1.0) > 1e-9).any():
+            raise InvalidInput("PVM frequencies must sum to 1 within 1e-9")
         if not 0.0 <= float(self.accuracy) <= 1.0:
             raise InvalidInput("accuracy must lie in [0, 1]")
         if int(self.max_iterations) < 1:

@@ -335,6 +335,32 @@ def reference_marginal_solve(x0, spec, constraint, steps, impose_all, impose_spe
     return out
 
 
+def damped_sweep_dense(spec, schedule, embed):
+    """The damped marginal sweep with its momentum z held as one dense D x D matrix.
+
+    Each call is one sweep n = 0, 1, ...: for each target (J, sigma) in
+    spec order, z <- beta_n z + embed(sigma - Tr_Jc x, J, N, d), which is
+    Q(x) - x, and x <- x + mu alpha_n z, with (alpha_n, beta_n) from
+    schedule.coefficients(n).  `embed` is qmp.embed_with_mixed
+    (op (x) I/d^{N-|J|}) and the reductions are einsum contractions, so
+    the call ignores its second argument, the iterate's reductions.  z
+    persists across calls; the swept copy of x is returned.
+    """
+    n, d = spec.n_parties, spec.local_dim
+    z = np.zeros((spec.dim, spec.dim), dtype=complex)
+    sweeps = itertools.count()
+
+    def sweep(x, _reductions=None):
+        a_n, b_n = schedule.coefficients(next(sweeps))
+        x = np.array(x, dtype=complex)
+        for sub, sigma in spec.targets:
+            z[...] = b_n * z + embed(sigma.matrix - reduction_einsum(x, sub, n, d), sub, n, d)
+            x += schedule.mu * a_n * z
+        return x
+
+    return sweep
+
+
 def strategy_matrix(m, d):
     """Coefficient-space image [p, p_A, p_B] of every deterministic strategy, one dense row each.
 

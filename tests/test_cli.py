@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import qoptools
-from qoptools.mathcore import matrix_to_dict, random_mixed_state
+from qoptools.mathcore import hermitize, matrix_to_dict, random_mixed_state, random_pure_state
 
 from test_qse import sic_povm
 
@@ -569,6 +569,62 @@ def test_write_json_refuses_non_finite_floats(tmp_path, case):
     with pytest.raises(ValueError):
         cli._write_json(str(path), obj)
     assert not path.exists()  # nothing is written before the text is complete
+
+
+def _hermitian_awkward():
+    """Entries -0.0, 5e-324, 1e16, 1e-5 and 1e308 on both sides of the diagonal, signs mixed."""
+    re = np.array([[1e308, 5e-324, -1e16], [5e-324, -0.0, 1e-5], [-1e16, 1e-5, 0.0]])
+    im = np.array([[0.0, -1e-5, 5e-324], [1e-5, -0.0, -1e308], [-5e-324, 1e308, 0.0]])
+    return re + 1j * im
+
+
+def _with_im(re, im):
+    m = np.array(re, dtype=complex)
+    m.imag = im
+    return m
+
+
+MATRIX_CASES = {
+    "rank1_hermitian_256": hermitize(random_pure_state(256, np.random.default_rng(11)).matrix),
+    "random_non_hermitian": (lambda rng: rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))(
+        np.random.default_rng(12)),
+    "awkward_hermitian": _hermitian_awkward(),
+    "awkward_non_hermitian": _hermitian_awkward()[:, [1, 0, 2]],
+    "one_by_one": np.array([[complex(-0.0, 0.25)]]),
+    "hermitian_plus_zero_im_both_sides": _with_im([[1.0, 2.0], [2.0, -3.0]], [[0, 0.0], [0.0, 0]]),
+    "hermitian_signed_zero_im_pair": _with_im([[1.0, 2.0], [2.0, -3.0]], [[0, 0.0], [-0.0, 0]]),
+    "real_dtype": np.array([[0.5, -1e-5], [-1e-5, 0.5]]),
+    "empty": np.zeros((0, 0), dtype=complex),
+}
+
+
+@pytest.mark.parametrize("case", MATRIX_CASES)
+def test_write_json_encodes_a_matrix_as_matrix_to_dict(tmp_path, case):
+    # the state is written straight from its array, as the text of its reference encoding
+    from qoptools import cli
+
+    m = MATRIX_CASES[case]
+    # the Hermitian cases take the path that formats one triangle of each part
+    mirrored = all(np.array_equal(abs(p), abs(p).T) for p in (m.real, m.imag))
+    assert mirrored == (case not in ("random_non_hermitian", "awkward_non_hermitian"))
+    path = tmp_path / "out.json"
+    cli._write_json(str(path), {"state": m, "converged": True})
+    want = json.dumps({"state": matrix_to_dict(m), "converged": True}, sort_keys=True, indent=2)
+    assert path.read_text() == want + "\n"
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF, complex(0.0, NAN), complex(1.0, -INF)])
+def test_write_json_refuses_a_non_finite_matrix(tmp_path, bad):
+    from qoptools import cli
+
+    m = MATRIX_CASES["awkward_hermitian"].copy()
+    m[1, 2] = bad
+    with pytest.raises(ValueError):
+        json.dumps(matrix_to_dict(m), allow_nan=False)
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        cli._write_json(str(path), {"state": m})
+    assert not path.exists()
 
 
 def test_non_finite_result_exits_one_without_a_result_file(tmp_path, monkeypatch):

@@ -513,6 +513,55 @@ def test_accelerated_reduction_matches_plain_solver():
     assert np.abs(s1.matrix - s2.matrix).max() < 1e-10
 
 
+def _spec_of_random_state(n, d, subsets, seed):
+    return spec_from_generator(random_mixed_state((d,) * n, np.random.default_rng(seed)), subsets)
+
+
+# (spec, steps): overlapping, nested, disjoint and repeated subsets of 1 to 3 parties
+DAMPED_CASES = {
+    "ame43": (lambda: ame_spec(4, 3), 60),
+    "ame44": (lambda: ame_spec(4, 4), 25),
+    "n3d2_one_and_two_body": (lambda: _spec_of_random_state(3, 2, [(0,), (0, 1), (1, 2)], 140), 60),
+    "repeated_subset": (lambda: _spec_of_random_state(3, 2, [(0, 1), (1, 2), (0, 1)], 141), 60),
+    "n5_three_body": (lambda: _spec_of_random_state(
+        5, 2, list(itertools.combinations(range(5), 3)), 142), 60),
+    "n3d3": (lambda: _spec_of_random_state(3, 3, [(0, 1), (1, 2), (0, 2)], 143), 60),
+}
+DAMPED_SCHEDULES = {
+    "mu0.1": HalpernSchedule(mu=0.1, beta_scale=1.0),
+    "mu0.5_beta0.3": HalpernSchedule(mu=0.5, beta_scale=0.3),
+    "neutral": HalpernSchedule(mu=1.0, exponent=0.0, beta_scale=0.0),
+}
+
+
+def _last_iterate(run):
+    try:
+        return run()
+    except NotConverged as exc:
+        return exc.result
+
+
+@pytest.mark.parametrize("schedule", DAMPED_SCHEDULES)
+@pytest.mark.parametrize("rank", [1, 3])
+@pytest.mark.parametrize("case", DAMPED_CASES)
+def test_block_momentum_matches_dense_momentum(case, rank, schedule):
+    # the per-target momentum blocks and the cross reductions within a sweep
+    # must give the dense accumulator's iteration, up to summation order
+    make, steps = DAMPED_CASES[case]
+    spec, con, sched = make(), SpectralConstraint.with_rank(rank), DAMPED_SCHEDULES[schedule]
+    state, report = _last_iterate(lambda: solve_accelerated(
+        spec, con, sched, accuracy=1e-300, max_iterations=steps, rng=0))
+    x0 = qmp._seed_state(spec, np.random.default_rng(0), False)
+    dense = oracles.damped_sweep_dense(spec, sched, embed_with_mixed)
+    ref_state, ref = _last_iterate(lambda: qmp._iterate(spec, con, 1e-300, steps, x0, dense))
+    assert report.iterations == ref.iterations == steps
+    for got, want in [(report.marginal_dist, ref.marginal_dist),
+                      (report.spectral_dist, ref.spectral_dist),
+                      (report.total_dist, ref.total_dist)]:
+        assert np.abs(got - want).max() < 1e-12
+    assert np.abs(state.matrix - ref_state.matrix).max() < 1e-12
+
+
 def test_schedule_alpha_has_no_effect():
     # the accumulator holds the residual over alpha and the step carries alpha,
     # so alpha cancels; computing without it makes the trajectories equal bit for bit

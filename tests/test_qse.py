@@ -405,6 +405,55 @@ def test_estimation_problem_validation():
         EstimationProblem(tuple(meas), tuple(freqs), max_iterations=0)
 
 
+def _mixed_kind_problem():
+    """An observable set, two PVMs and a POVM with valid data, the second PVM after the POVM."""
+    gen = random_mixed_state(2, np.random.default_rng(98))
+    sets = [MeasurementSet(_PAULIS, "observable_basis"), mub_bases(2)[0], sic_povm(),
+            mub_bases(2)[1]]
+    return sets, [born_probabilities(gen, m) for m in sets]
+
+
+def _replace(freqs, k, i, value):
+    out = [f.copy() for f in freqs]
+    out[k][i] = value
+    return out
+
+
+# (message, data builder): each builder breaks the valid mixed-kind problem in one place
+ESTIMATION_REFUSALS = {
+    "set_count": ("one frequency vector per measurement set required",
+                  lambda m, f: (m, f[:-1], {})),
+    "no_sets": ("at least one measurement set required", lambda m, f: ((), (), {})),
+    "long_vector": ("frequency vector length does not match effect count",
+                    lambda m, f: (m, f[:1] + [np.append(f[1], 0.0)] + f[2:], {})),
+    "row_vector": ("frequency vector length does not match effect count",
+                   lambda m, f: (m, f[:3] + [f[3][None, :]], {})),
+    "nan": ("frequencies must be finite", lambda m, f: (m, _replace(f, 2, 1, np.nan), {})),
+    "expectation": ("expectation targets must lie in [-1, 1]",
+                    lambda m, f: (m, _replace(f, 0, 2, -1.5), {})),
+    "negative": ("frequencies must be nonnegative", lambda m, f: (m, _replace(f, 2, 3, -0.01), {})),
+    "pvm_sum": ("PVM frequencies must sum to 1 within 1e-9",
+                lambda m, f: (m, _replace(f, 3, 1, f[3][1] + 1e-6), {})),
+    "accuracy": ("accuracy must lie in [0, 1]", lambda m, f: (m, f, {"accuracy": 1.5})),
+    "max_iterations": ("max_iterations must be positive",
+                       lambda m, f: (m, f, {"max_iterations": 0})),
+}
+
+
+@pytest.mark.parametrize("case", ESTIMATION_REFUSALS)
+def test_estimation_problem_refusals_are_word_for_word(case):
+    # the checks run on one concatenation of every set's frequencies, so each
+    # must still find its offending set, whatever kind it and its neighbours are
+    sets, freqs = _mixed_kind_problem()
+    problem = EstimationProblem(tuple(sets), tuple(freqs))
+    assert problem.frequencies[0].min() < 0  # an expectation may be negative
+    message, build = ESTIMATION_REFUSALS[case]
+    meas, bad, kwargs = build(sets, freqs)
+    with pytest.raises(InvalidInput) as err:
+        EstimationProblem(tuple(meas), tuple(bad), **kwargs)
+    assert str(err.value) == message
+
+
 def test_simulate_frequencies_noiseless_limit():
     rng = np.random.default_rng(76)
     gen = random_mixed_state(2, rng)
