@@ -9,9 +9,9 @@ The gap ratio is concave over affine in the coefficients, so after the
 Charnes-Cooper substitution its maximization is a linear program (the
 LHV value lifted to d^m (m d + 1) sparse rows, the box) plus one
 Euclidean norm, the Poisson error.  `maximize_gap` solves it with
-HiGHS, replacing the norm by cutting planes added where each LP lands
-(Kelley); every LP value bounds the global maximum from above, which
-certifies the result.
+HiGHS, replacing the norm by cutting planes (Kelley), taken between each
+LP point and the best scored point once there is one (in-out); every LP
+value bounds the global maximum from above, which certifies the result.
 
 Conventions: settings x, y and outcomes a, b are 0-based; marginal
 probabilities are always the average over the other party's settings,
@@ -40,8 +40,8 @@ from .mathcore import _PAULIS, MeasurementSet, QuantumState, as_rng, config_arra
 
 ENUMERATION_GUARD = 10**8
 # lifted LHV rows d^m (m d + 1) the gap search builds at most.  Searches
-# past the old dense guard run: (6,3), 13,851 rows, took 11.2 s in 20 LP
-# rounds and (5,4), 21,504 rows, 34.2 s in 22 rounds (perfbench counts
+# past the old dense guard run: (6,3), 13,851 rows, took 12.9 s in 19 LP
+# rounds and (5,4), 21,504 rows, 41.1 s in 15 rounds (perfbench counts
 # recipe, 2-vCPU Xeon VM, one BLAS thread); (4,6) has 32,400
 LIFTED_ROW_GUARD = 25_000
 GAP_TOL = 1e-9  # certificate gap (LP bound minus exact ratio) at which the gap search stops
@@ -50,6 +50,12 @@ GAP_ROUND_CAP = 200  # linear programs the gap search solves at most
 # default 1e-7 an LP point may violate its own cut by more than GAP_TOL, and
 # the same cut then comes back every round
 LP_TOL = 1e-10
+# weight of the best scored coefficients in the point p an in-out norm cut is
+# taken at, p = IN_OUT_WEIGHT s_best + (1 - IN_OUT_WEIGHT) s_LP.  Mean LP
+# rounds over the 64 bell-m4d2 count files of perfbench seed 0, by weight:
+# 0.2 -> 19.75, 0.4 -> 17.94, 0.5 -> 17.48, 0.6 -> 19.34, 0.8 -> 26.7,
+# 0.9 -> 31.4; LP-point cuts alone (Kelley) take 24.2
+IN_OUT_WEIGHT = 0.5
 
 
 @dataclass(frozen=True)
@@ -330,6 +336,8 @@ class GapResult(NamedTuple):
     rounds: int  # linear programs solved
     round_cap_hit: bool  # the search stopped because it ran GAP_ROUND_CAP rounds
     lp_seconds: float  # time spent in the LP solves
+    first_lp_seconds: float  # the first, cold LP's share of lp_seconds
+    stabilized_cuts: int  # norm cuts taken between the LP point and the best point
 
 
 def _gap_pieces(counts: CountsTable):
@@ -481,10 +489,15 @@ def maximize_gap(counts: CountsTable, trials: int = 20, rng=None) -> GapResult:
     d^m (m d + 1) sparse rows over one extra free variable per Alice
     assignment and Bob setting, with the same optimum as the d^(2m)
     rows above.  The norm is replaced by an epigraph variable
-    r >= |G y| which only sees cutting planes r >= w . G y,
-    w = G y / |G y| at the points the linear programs visit (Kelley).
-    Every cut underestimates the norm, so each LP value bounds the
-    global maximum from above; each LP
+    r >= |G y| which only sees cutting planes r >= w . G y with unit w.
+    Each round adds one cut that the LP point y violates by more than
+    GAP_TOL.  Once a candidate has beaten ratio 1, w = G p / |G p| at
+    p = IN_OUT_WEIGHT s_best + (1 - IN_OUT_WEIGHT) s, between the best
+    scored coefficients and the LP point (in-out separation, Ben-Ameur
+    and Neto), if that cut is violated; otherwise w = G y / |G y| at the
+    LP point itself (Kelley).  Cuts nearer the best point close the gap
+    in fewer rounds.  Every cut underestimates the norm, so each LP value
+    bounds the global maximum from above; each LP
     solution s = clip(y / tau) is scored exactly, and the search stops
     once no cut is violated or the LP value is within GAP_TOL of the best
     exact ratio, or after GAP_ROUND_CAP rounds.  The returned
@@ -514,9 +527,11 @@ def maximize_gap(counts: CountsTable, trials: int = 20, rng=None) -> GapResult:
     lp = _GapLP(objective, rows, rhs, bounds)
 
     best = (1.0, np.zeros(n), 0.0, 0.0, 0.0)  # ratio, s, C, Q, dQ of the best candidate
-    capped = False
+    capped, stabilized = False, 0
     for rounds in range(1, GAP_ROUND_CAP + 1):
         z, upper = lp.solve()
+        if rounds == 1:
+            first_seconds = lp.seconds
         y, tau, r = z[:n], z[n], z[n + 1]
         sol = np.clip(y / tau, -1.0, 1.0)
         c = lhv_bound(_unstack_coefficients(sol, sc))
@@ -529,12 +544,19 @@ def maximize_gap(counts: CountsTable, trials: int = 20, rng=None) -> GapResult:
         norm = float(np.linalg.norm(gy))
         if norm - r <= GAP_TOL or upper - best[0] <= GAP_TOL:
             break
-        lp.add_cut(np.concatenate([gy @ g / norm, [0.0, -1.0]]))
+        w = gy / norm
+        if best[0] > 1.0:
+            gp = g @ (IN_OUT_WEIGHT * best[1] + (1.0 - IN_OUT_WEIGHT) * sol)
+            scale = float(np.linalg.norm(gp))
+            if scale > 0.0 and float(gp @ gy) / scale - r > GAP_TOL:
+                w = gp / scale
+                stabilized += 1
+        lp.add_cut(np.concatenate([w @ g, [0.0, -1.0]]))
     else:
         capped = True
     ratio, sol, c, q, dq = best
     return GapResult(_unstack_coefficients(sol, sc, bound=c), ratio, q, dq, c, upper, rounds,
-                     capped, lp.seconds)
+                     capped, lp.seconds, first_seconds, stabilized)
 
 
 class TiltedFamily(NamedTuple):

@@ -367,6 +367,8 @@ def bell_optimize(cfg, run):
         "round_cap_hit": res.round_cap_hit,
         "zero_inequality": not (ineq.joint.any() or ineq.marg_a.any() or ineq.marg_b.any()),
         "lp_seconds": res.lp_seconds,
+        "first_lp_seconds": res.first_lp_seconds,
+        "stabilized_cuts": res.stabilized_cuts,
     }
     if search["round_cap_hit"]:
         click.echo(f"gap search ran all {bell.GAP_ROUND_CAP} LP rounds; "

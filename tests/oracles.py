@@ -482,12 +482,16 @@ def lifted_rows(m, d):
 
 
 def maximize_gap_linprog(counts):
-    """The Kelley gap search of bell.maximize_gap, every LP rebuilt and solved cold.
+    """The cutting-plane gap search of bell.maximize_gap, every LP rebuilt and solved cold.
 
     Each round stacks the norm cuts found so far below the rows of
     bell._lifted_lp (as `lifted_rows` gives them) and hands the whole
     program to linprog(method="highs") at the search's LP_TOL; the
-    scoring and stop rule are the search's.
+    scoring and stop rule are the search's.  The cut rule is written out
+    here, not taken from bell: once a candidate has beaten ratio 1, the
+    cut r >= w . G y has w = G p / |G p| at the midpoint p of the best
+    scored coefficients and the LP point s, if the LP point violates it
+    by more than GAP_TOL; otherwise w = G y / |G y| at the LP point.
     Returns (ratio, upper_bound, rounds).
     """
     from scipy.optimize import linprog
@@ -510,7 +514,7 @@ def maximize_gap_linprog(counts):
     cost = np.zeros(rows.shape[1])
     cost[:n + 2] = -np.concatenate([q_vec, [dm, -1.0]])
     cuts = []
-    best = 1.0
+    best, best_sol = 1.0, None
     for rounds in range(1, GAP_ROUND_CAP + 1):
         res = linprog(
             cost,
@@ -527,12 +531,19 @@ def maximize_gap_linprog(counts):
         c = lhv_bound(_unstack_coefficients(sol, sc))
         if c >= -1e-9:
             value = (float(q_vec @ sol) - float(np.linalg.norm(g @ sol)) + dm) / (c + dm)
-            best = max(best, value)
+            if value > best:
+                best, best_sol = value, sol
         gy = g @ y
         norm = float(np.linalg.norm(gy))
         if norm - r <= GAP_TOL or upper - best <= GAP_TOL:
             break
+        direction = gy / norm
+        if best_sol is not None:
+            gp = g @ ((best_sol + sol) / 2)
+            gp_norm = float(np.linalg.norm(gp))
+            if gp_norm > 0 and gp @ gy / gp_norm - r > GAP_TOL:
+                direction = gp / gp_norm
         cut = np.zeros(rows.shape[1])
-        cut[:n + 2] = np.concatenate([gy @ g / norm, [0.0, -1.0]])
+        cut[:n + 2] = np.concatenate([direction @ g, [0.0, -1.0]])
         cuts.append(cut)
     return best, upper, rounds

@@ -427,7 +427,7 @@ def _random_basis_counts(m, d, per_setting, rng):
     return CountsTable.sample(beh, per_setting, rng)
 
 
-@pytest.mark.parametrize("m,d", [(2, 2), (3, 2), (2, 3), (4, 2)])
+@pytest.mark.parametrize("m,d", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)])
 def test_maximize_gap_reaches_slsqp_oracle_and_certifies(m, d):
     counts = _random_basis_counts(m, d, 1e6, np.random.default_rng(10 * m + d))
     res = maximize_gap(counts)
@@ -490,6 +490,71 @@ def test_warm_gap_search_matches_linprog_rounds(m, d):
     assert warm.upper_bound - warm.ratio <= 1e-9
     assert upper - ratio <= 1e-9
     assert 0.0 < warm.lp_seconds
+
+
+def _record_cuts(monkeypatch):
+    """Patch bell._GapLP to log (LP point z solved last, cut row) for every cut added."""
+    solved, cuts = [], []
+    solve, add_cut = bell._GapLP.solve, bell._GapLP.add_cut
+
+    def logged_solve(self):
+        z, value = solve(self)
+        solved.append(z)
+        return z, value
+
+    def logged_add_cut(self, row):
+        cuts.append((solved[-1], row.copy()))
+        add_cut(self, row)
+
+    monkeypatch.setattr(bell._GapLP, "solve", logged_solve)
+    monkeypatch.setattr(bell._GapLP, "add_cut", logged_add_cut)
+    return cuts
+
+
+@pytest.mark.parametrize("m,d", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)])
+def test_every_norm_cut_separates_the_lp_point_before_it(monkeypatch, m, d):
+    cuts = _record_cuts(monkeypatch)
+    counts = _random_basis_counts(m, d, 1e6, np.random.default_rng(10 * m + d))
+    res = maximize_gap(counts)
+    assert len(cuts) == res.rounds - 1
+    assert 0 < res.stabilized_cuts <= len(cuts)
+    assert 0.0 < res.first_lp_seconds <= res.lp_seconds
+    _, g = _gap_pieces(counts)
+    n = g.shape[1]
+    elsewhere = 0
+    for z, row in cuts:
+        # row = (w . G, 0, -1) over (y, tau, r) with a unit w, so row . z = w . G y - r
+        # is how far the LP point solved just before the cut breaks it
+        assert np.array_equal(row[n:], [0.0, -1.0])
+        w = np.linalg.lstsq(g.T, row[:n], rcond=None)[0]
+        assert abs(np.linalg.norm(w) - 1.0) < 1e-9
+        assert row @ z[:n + 2] > bell.GAP_TOL
+        gy = g @ z[:n]
+        elsewhere += not np.allclose(w, gy / np.linalg.norm(gy), rtol=0, atol=1e-9)
+    # a cut at p can coincide with the LP-point cut, when the LP point is the best point
+    assert elsewhere <= res.stabilized_cuts
+
+
+@pytest.mark.parametrize("m,d", [(2, 2), (3, 2), (2, 3)])
+def test_a_search_without_a_candidate_cuts_only_at_lp_points(monkeypatch, m, d):
+    cuts = _record_cuts(monkeypatch)
+    rng = np.random.default_rng(10 * m + d)
+    total = 0
+    for _ in range(3):
+        cuts.clear()
+        counts = CountsTable(np.round(_local_behavior(m, d, rng).table * 40_000) + 1)
+        res = maximize_gap(counts)
+        assert res.ratio == 1.0
+        assert res.stabilized_cuts == 0
+        assert len(cuts) == res.rounds - 1
+        _, g = _gap_pieces(counts)
+        n = g.shape[1]
+        for z, row in cuts:
+            gy = g @ z[:n]
+            w = gy / np.linalg.norm(gy)
+            assert np.array_equal(row, np.concatenate([w @ g, [0.0, -1.0]]))
+        total += len(cuts)
+    assert total > 0
 
 
 def test_warm_gap_search_is_silent(capfd):

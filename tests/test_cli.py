@@ -292,12 +292,14 @@ def test_bell_optimize_small(tmp_path, outdir):
     info = read_json(os.path.join(outdir, "run_info.json"))
     assert info["lp_rounds"] >= 1
     assert info["norm_cuts"] == info["lp_rounds"] - 1
+    assert 0 <= info["stabilized_cuts"] <= info["norm_cuts"]
     assert abs(info["upper_bound"] - info["certificate_gap"] - result["ratio"]) < 1e-12
     assert -1e-9 <= info["certificate_gap"] <= 1e-8
     assert info["round_cap_hit"] is False
     assert info["zero_inequality"] is False
     assert "zero inequality" not in proc.stderr
     assert 0.0 < info["lp_seconds"] <= info["runtime_seconds"]
+    assert 0.0 < info["first_lp_seconds"] <= info["lp_seconds"]
 
 
 def test_bell_optimize_without_the_highs_bindings_exits_one(monkeypatch, outdir):
@@ -502,6 +504,25 @@ def test_pauli_benchmark_at_eight_qubits_stays_small(tmp_path):
     assert max_rss_kb < 300 * 1024
 
 
+def first_difference(got: str, want: str) -> str:
+    """Where two texts first differ, with about 80 characters of context from each.
+
+    A failed `assert got == want` on a 4 MB state makes pytest diff the
+    whole texts for minutes; asserting a precomputed flag with this
+    message reports the same failure at once.
+    """
+    lo, hi = 0, min(len(got), len(want))
+    while lo < hi:  # got[:lo] == want[:lo]; bisect with slice compares, not a loop per character
+        mid = (lo + hi + 1) // 2
+        if got[:mid] == want[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    start = max(lo - 40, 0)
+    return (f"texts of {len(got)} and {len(want)} characters first differ at offset {lo}: "
+            f"got {got[start:lo + 40]!r}, want {want[start:lo + 40]!r}")
+
+
 @pytest.mark.parametrize("name", sorted(n for n in os.listdir(CONFIGS) if config_command(n)))
 def test_bundled_results_are_json_indent_2_text(tmp_path, name):
     # float repr round-trips exactly, so re-encoding the parsed file must give it back
@@ -517,7 +538,9 @@ def test_bundled_results_are_json_indent_2_text(tmp_path, name):
     text = (out / "result.json").read_text()
     # strict JSON: NaN, Infinity and -Infinity are refused
     parsed = json.loads(text, parse_constant=lambda name: pytest.fail(f"result.json holds {name}"))
-    assert text == json.dumps(parsed, sort_keys=True, indent=2) + "\n"
+    want = json.dumps(parsed, sort_keys=True, indent=2) + "\n"
+    same = text == want
+    assert same, first_difference(text, want)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -610,7 +633,10 @@ def test_write_json_encodes_a_matrix_as_matrix_to_dict(tmp_path, case):
     path = tmp_path / "out.json"
     cli._write_json(str(path), {"state": m, "converged": True})
     want = json.dumps({"state": matrix_to_dict(m), "converged": True}, sort_keys=True, indent=2)
-    assert path.read_text() == want + "\n"
+    want += "\n"
+    text = path.read_text()
+    same = text == want
+    assert same, first_difference(text, want)
 
 
 @pytest.mark.parametrize("bad", [NAN, INF, -INF, complex(0.0, NAN), complex(1.0, -INF)])
