@@ -161,8 +161,11 @@ def main(argv=None) -> int:
                 "certificate_gap": res.upper_bound - res.ratio,
                 "ratio": res.ratio,
             }
-            if hasattr(res, "first_lp_seconds"):  # trees before the in-out norm cuts report neither
+            if hasattr(res, "first_lp_seconds"):  # trees before the in-out norm cuts report none
                 row["first_lp_seconds"] = statistics.median(r.first_lp_seconds for r in results[k])
+                # the warm rounds alone: the cold first LP is the same work under any cut rule
+                row["warm_lp_seconds"] = statistics.median(
+                    r.lp_seconds - r.first_lp_seconds for r in results[k])
                 row["stabilized_cuts"] = res.stabilized_cuts
             print(json.dumps({"label": label, **row}), flush=True)
             rows[label].append(row)

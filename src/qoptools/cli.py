@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
@@ -74,76 +73,41 @@ def _float_rows(a, nl: str):
     yield nl + "]"
 
 
-def _json_pieces(obj, nl: str):
-    """json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) in pieces.
-
-    nl is a newline plus the current indent.  A 2-D ndarray is written
-    as its encoding by matrix_to_dict, {"dim", "im", "re"}.
-    """
-    if isinstance(obj, np.ndarray):
-        if obj.ndim != 2 or 0 in obj.shape:
-            yield from _json_pieces(matrix_to_dict(obj), nl)
-            return
-        m = obj.astype(complex, copy=False)
-        if not np.isfinite(m).all():
-            raise ValueError("Out of range float values are not JSON compliant")
-        inner = nl + "  "
-        yield "{" + inner + f'"dim": {m.shape[0]},' + inner + '"im": '
-        yield from _float_rows(m.imag, inner)
-        yield "," + inner + '"re": '
-        yield from _float_rows(m.real, inner)
-        yield nl + "}"
-    elif isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        if not all(isinstance(key, str) for key in obj):
-            raise TypeError("result dicts must have str keys")
-        inner, sep = nl + "  ", "{"
-        for key in sorted(obj):
-            yield sep + inner + json.dumps(key) + ": "
-            yield from _json_pieces(obj[key], inner)
-            sep = ","
-        yield nl + "}"
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-            return
-        inner = nl + "  "
-        # exact finite floats print as float.__repr__, which json also uses;
-        # a NaN or inf anywhere makes the sum non-finite
-        if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
-            yield "[" + inner + ("," + inner).join(map(float.__repr__, obj)) + nl + "]"
-            return
-        sep = "["
-        for item in obj:
-            yield sep + inner
-            yield from _json_pieces(item, inner)
-            sep = ","
-        yield nl + "]"
-    else:
-        yield json.dumps(obj, allow_nan=False)
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
 
 
 def _write_json(path: str, obj) -> None:
-    """Write json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) and a newline.
+    """Write _dumps(obj) and a newline.
 
-    A 2-D ndarray in obj is written as json.dumps would write its
-    matrix_to_dict encoding, straight from the array: no float lists are
-    built, and a Hermitian matrix (|re| and |im| equal to their
-    transposes) has float.__repr__ run on one triangle only.  The bytes
-    are those json.dumps writes, but json runs its pure-Python encoder
-    whenever indent is set, which costs more per float than
-    float.__repr__ itself, and a dumped D=256 state holds 131,072 floats.
-    Each other list of exact finite floats (a matrix row) is encoded by
-    one join and every other scalar by json.dumps.  A dict with a non-str
-    key, which json would convert to a string, raises TypeError, and a NaN
-    or infinity, which is not JSON, raises ValueError.  Every piece is
-    encoded before the file is opened, so either leaves no file behind;
-    the pieces are written as they are, not joined, so the text is held
-    in memory once.
+    A 2-D ndarray value of a top-level dict (the dumped state) is written as
+    _dumps writes its matrix_to_dict encoding, straight from the array by
+    _float_rows: json runs its pure-Python encoder whenever indent is set,
+    and a dumped D=256 state holds 131,072 floats.  _dumps writes the rest.
+    A NaN or infinity raises ValueError before the file is opened.
     """
-    pieces = list(_json_pieces(obj, "\n"))
+    if not (isinstance(obj, dict) and any(isinstance(v, np.ndarray) for v in obj.values())):
+        pieces = [_dumps(obj)]
+    else:
+        pieces, sep, inner = [], "{\n  ", "\n    "
+        for key in sorted(obj):
+            value = obj[key]
+            # the key and ": " as json writes them; a non-str key becomes a string
+            pieces.append(sep + json.dumps({key: None})[1:-5])
+            sep = ",\n  "
+            if isinstance(value, np.ndarray) and value.ndim == 2 and value.size:
+                m = value.astype(complex, copy=False)
+                if not np.isfinite(m).all():
+                    raise ValueError("Out of range float values are not JSON compliant")
+                pieces += ["{" + inner + f'"dim": {m.shape[0]},' + inner + '"im": ',
+                           *_float_rows(m.imag, inner), "," + inner + '"re": ',
+                           *_float_rows(m.real, inner), "\n  }"]
+            else:
+                if isinstance(value, np.ndarray):
+                    value = matrix_to_dict(value)
+                # json escapes a newline inside a string, so this indents every line
+                pieces.append(_dumps(value).replace("\n", "\n  "))
+        pieces.append("\n}")
     with open(path, "w") as fh:
         fh.writelines(pieces)
         fh.write("\n")

@@ -366,6 +366,14 @@ def random_pure_state(dims, rng) -> QuantumState:
     return QuantumState(np.outer(v, v.conj()), dims)
 
 
+def _ginibre_state(d: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """G G†/Tr(G G†) for a d x k Ginibre G: a density matrix by construction, so unchecked."""
+    g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    return hermitize(rho)
+
+
 def random_mixed_state(dims, rng, rank: int | None = None) -> QuantumState:
     """Hilbert-Schmidt random mixed state: G G†/Tr(G G†) with Ginibre G."""
     dims = (dims,) if isinstance(dims, int) else tuple(int(x) for x in dims)
@@ -373,11 +381,7 @@ def random_mixed_state(dims, rng, rank: int | None = None) -> QuantumState:
     k = d if rank is None else int(rank)
     if k < 1:
         raise InvalidInput("rank must be positive")
-    rng = as_rng(rng)
-    g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    return QuantumState(hermitize(rho), dims)
+    return QuantumState(_ginibre_state(d, k, as_rng(rng)), dims)
 
 
 def _is_prime(n: int) -> bool:

@@ -39,6 +39,7 @@ from .mathcore import (
     QuantumState,
     _as_matrix,
     _complement_diagonal,
+    _ginibre_state,
     as_rng,
     check_hermitian,
     config_array,
@@ -389,7 +390,7 @@ def _marginal_distance(mat: np.ndarray, spec: MarginalSpec) -> tuple[float, list
 def _seed_state(spec: MarginalSpec, rng, identity_seed: bool) -> np.ndarray:
     if identity_seed:
         return np.eye(spec.dim, dtype=complex) / spec.dim
-    return random_mixed_state((spec.local_dim,) * spec.n_parties, rng).matrix
+    return _ginibre_state(spec.dim, spec.dim, rng)
 
 
 def _top_eigenpairs(xp: np.ndarray, v0: np.ndarray):

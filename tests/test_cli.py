@@ -558,6 +558,9 @@ WRITER_CASES = {
     "numpy_floats": [np.float64(0.1), np.float64(-2.0), 1.5, np.float64(1e300)],
     "only_numpy_floats": [np.float64(0.1), np.float64(2.0)],
     "random_64x64_state": matrix_to_dict(random_mixed_state(64, 9).matrix),
+    # json writes a non-str key as a string, also in a nested dict
+    "int_keys": {1: [0.5, 1.0], 0: "a"},
+    "nested_int_key": {"a": [1.0, 2.0], "b": {3: 4}},
 }
 
 
@@ -631,12 +634,24 @@ def test_write_json_encodes_a_matrix_as_matrix_to_dict(tmp_path, case):
     mirrored = all(np.array_equal(abs(p), abs(p).T) for p in (m.real, m.imag))
     assert mirrored == (case not in ("random_non_hermitian", "awkward_non_hermitian"))
     path = tmp_path / "out.json"
-    cli._write_json(str(path), {"state": m, "converged": True})
-    want = json.dumps({"state": matrix_to_dict(m), "converged": True}, sort_keys=True, indent=2)
-    want += "\n"
+    # nested values beside the state are written by json.dumps and re-indented by one level
+    rest = {"converged": True, "trajectory": {"total_dist": [0.5, 0.25]}, "z": [[1.0], {}],
+            "printed": "a\nb"}
+    cli._write_json(str(path), {"state": m, **rest})
+    want = json.dumps({"state": matrix_to_dict(m), **rest}, sort_keys=True, indent=2) + "\n"
     text = path.read_text()
     same = text == want
     assert same, first_difference(text, want)
+
+
+def test_write_json_writes_int_keys_beside_a_matrix_as_strings(tmp_path):
+    from qoptools import cli
+
+    m = MATRIX_CASES["awkward_hermitian"]
+    path = tmp_path / "out.json"
+    cli._write_json(str(path), {1: m, 0: {2: "a"}})
+    want = json.dumps({1: matrix_to_dict(m), 0: {2: "a"}}, sort_keys=True, indent=2) + "\n"
+    assert path.read_text() == want
 
 
 @pytest.mark.parametrize("bad", [NAN, INF, -INF, complex(0.0, NAN), complex(1.0, -INF)])
@@ -665,14 +680,6 @@ def test_non_finite_result_exits_one_without_a_result_file(tmp_path, monkeypatch
     assert res.exit_code == 1
     assert res.stderr.splitlines()[-1].startswith("error:")
     assert not (out / "result.json").exists()
-
-
-@pytest.mark.parametrize("obj", [{1: [0.5, 1.0], 0: "a"}, {"a": [1.0, 2.0], "b": {3: 4}}])
-def test_write_json_rejects_non_str_keys(tmp_path, obj):
-    from qoptools import cli
-
-    with pytest.raises(TypeError):
-        cli._write_json(str(tmp_path / "out.json"), obj)
 
 
 def test_missing_config_exits_one(outdir):

@@ -215,6 +215,16 @@ def test_ame_spec_shape():
         assert np.abs(sigma.matrix - np.eye(9) / 9).max() == 0.0
 
 
+@pytest.mark.parametrize("spec", [ame_spec(4, 3), MarginalSpec(3, 2, [((0, 1), np.eye(4) / 4)])],
+                         ids=["ame43", "n3d2"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_seed_state_is_the_random_mixed_state_draw(spec, seed):
+    # the solvers' unchecked seed draw takes the same bits from the generator
+    dims = (spec.local_dim,) * spec.n_parties
+    got = qmp._seed_state(spec, np.random.default_rng(seed), False)
+    assert np.array_equal(got, random_mixed_state(dims, np.random.default_rng(seed)).matrix)
+
+
 def test_spectral_constraint_validation():
     SpectralConstraint.with_rank(2)
     lam = SpectralConstraint.with_spectrum([0.5, 0.3, 0.2, 0.0])
